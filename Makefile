@@ -14,21 +14,30 @@ par-check:
 	dune exec bench/main.exe -- smoke e2 e3 e7 -j 4 diff
 
 # Static + dynamic analysis: typecheck everything, keep polymorphic
-# compare/hash off the hot paths (DESIGN.md section 17), run the
-# analyzers over the bundled examples (non-zero exit on error findings),
-# and the analysis test suite (race detector vs Sim.Explore ground truth).
+# compare/hash off the hot paths (DESIGN.md section 17), keep one
+# decision loop (lib/transport and lib/engine never call a scheduler's
+# choose; they decide through Runner.Driver.decide, DESIGN.md section 14),
+# run the analyzers over the bundled examples (non-zero exit on error
+# findings), and the analysis test suite (race detector vs Sim.Explore
+# ground truth).
 lint:
 	dune build @check
 	scripts/poly_compare_check.sh
+	@if grep -rnE --include='*.ml' '\.choose\b|\bchoose[[:space:]]+~' lib/transport lib/engine; then \
+	  echo "lint: lib/transport or lib/engine calls a scheduler's choose (decide through Runner.Driver.decide)" >&2; \
+	  exit 1; \
+	fi
 	dune exec bin/ctmed.exe -- lint
 	dune exec test/test_analysis.exe -- -c
 
 # Differential live-vs-sim check (DESIGN.md section 14): the transport
 # test suite (per-seed byte-identity of the effects/domains backend
 # against the discrete-event simulator across the toy / E1-small / chaos
-# families, sessions, serve), then the serve smoke — every served live
-# session re-run on the sim backend and compared byte-for-byte, plus the
-# cross-domain rendezvous and preemptive-cancel checks.
+# families, every decision-loop branch, sessions, the session engine),
+# then the serve smoke — the engine digest against a sequential
+# unsharded non-recycled sim run, every served seed run on sim and live
+# and compared byte-for-byte, plus the cross-domain rendezvous and
+# preemptive-cancel checks.
 live-check:
 	dune exec test/test_transport.exe
 	dune exec bin/ctmed.exe -- serve --smoke
@@ -56,8 +65,8 @@ check:
 # Sharded engine check (DESIGN.md section 15): the THROUGHPUT table —
 # whose rows are digest comparisons of the sharded engine against a
 # sequential reference across backend/shard shapes — must itself be
-# byte-identical at any -j, and the serve --shards path must reproduce
-# the sequential unsharded aggregate byte-for-byte (--smoke).
+# byte-identical at any -j, and serve at 4 shards must reproduce the
+# sequential unsharded aggregate byte-for-byte (--smoke).
 throughput-check:
 	dune exec bench/main.exe -- smoke throughput -j 4 diff
 	dune exec bin/ctmed.exe -- serve --smoke --shards 4 --jobs 2

@@ -5,7 +5,7 @@
    ctmed check [FIXTURES]     model-check the fixture catalog (DPOR/naive/graph)
    ctmed lint [opts]          static + dynamic analysis over the bundled examples
    ctmed experiment [IDS]     the paper experiments (E1..E10, A1)
-   ctmed serve [opts]         serve mediator-game sessions over the live backend
+   ctmed serve [opts]         serve mediator-game sessions through the session engine
    ctmed micro                substrate micro-benchmarks *)
 
 open Cmdliner
@@ -693,25 +693,31 @@ let check_cmd =
 
 (* --- serve --- *)
 
-(* Session requests arrive over Serve's in-memory queue; each request
-   compiles a fresh cheap-talk game from (spec, seed) so the served
-   outcome is a pure function of its ticket's seed regardless of which
-   domain ran it or how sessions were batched. *)
+(* Every session runs through the sharded session engine: seeds
+   0..N-1 are split into shard ranges over the pool and each session
+   compiles a fresh cheap-talk game from (spec, seed), so the digest is a
+   pure function of the seeds whatever the shards, -j or in-flight
+   window. Completed sessions fold into bounded-memory aggregates as
+   they finish, which is the shape that scales to millions of sessions. *)
 let serve_cmd =
   let doc =
-    "Serve mediator-game sessions from an in-memory queue (live backend by default)."
+    "Serve mediator-game sessions through the sharded session engine (live backend by \
+     default)."
   in
   let smoke_arg =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "self-check: serve a small batch, verify every outcome byte-identical \
-             against a simulator re-run of the same seed, and exercise the session \
-             rendezvous (attach/convene/cancel) across domains")
+            "self-check: serve a small batch, verify the digest against a sequential \
+             unsharded non-recycled sim run and every served seed byte-identical on sim \
+             and live, and exercise the session rendezvous (attach/convene/cancel) \
+             across domains")
   in
   let sessions_arg =
-    Arg.(value & opt int 16 & info [ "sessions" ] ~docv:"N" ~doc:"session requests to enqueue")
+    Arg.(
+      value & opt int 16
+      & info [ "sessions" ] ~docv:"N" ~doc:"sessions to serve (seeds 0..N-1)")
   in
   let spec_arg =
     Arg.(
@@ -723,26 +729,25 @@ let serve_cmd =
     Arg.(
       value
       & opt int (Domain.recommended_domain_count ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"domains serving batches in parallel")
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"domains running shards in parallel")
   in
   let batch_arg =
     Arg.(
       value & opt int 4
-      & info [ "batch" ] ~docv:"N" ~doc:"sessions multiplexed per domain task")
+      & info [ "batch" ] ~docv:"N"
+          ~doc:"live in-flight window: sessions multiplexed per shard")
   in
   let backend_arg =
     Arg.(value & opt string "live" & info [ "backend" ] ~docv:"B" ~doc:"sim or live")
   in
   let shards_arg =
     Arg.(
-      value & opt int 0
-      & info [ "shards" ]
-          ~docv:"N"
+      value
+      & opt (some int) None
+      & info [ "shards" ] ~docv:"N"
           ~doc:
-            "route sessions through the sharded throughput engine with $(docv) shards \
-             (work-stealing units) instead of the ticketed queue; 0 (the default) \
-             keeps the queue. With --smoke the sharded aggregate is also checked \
-             byte-identical against an unsharded sequential run")
+            "split the seeds into $(docv) contiguous shard ranges, the work-stealing \
+             units (default: the -j value)")
   in
   let journal_arg =
     Arg.(
@@ -751,8 +756,7 @@ let serve_cmd =
       & info [ "journal" ] ~docv:"DIR"
           ~doc:
             "make the run crash-restartable: checkpoint every shard's progress into \
-             $(docv) (implies the engine path; --shards defaults to 1). A killed run \
-             is continued with $(b,--resume) $(docv)")
+             $(docv). A killed run is continued with $(b,--resume) $(docv)")
   in
   let resume_arg =
     Arg.(
@@ -770,23 +774,13 @@ let serve_cmd =
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"seeds per checkpoint chunk when --journal is active")
   in
-  let no_recycle_arg =
-    Arg.(
-      value & flag
-      & info [ "no-recycle" ]
-          ~doc:
-            "escape hatch: allocate fresh runner state for every session on the \
-             engine path instead of recycling the previous session's arrays. \
-             Digests are byte-identical either way ($(b,--smoke) checks it); the \
-             flag only trades allocation for isolation while debugging")
-  in
   let show = string_of_int in
   let mk_plan spec =
     let n = spec.Mediator.Spec.game.Games.Game.n in
     let t = if n >= 4 then 1 else 0 in
     Cheaptalk.Compile.plan_memo_exn ~spec ~theorem:Cheaptalk.Compile.T41 ~k:0 ~t ()
   in
-  let mk_config plan ~seed () =
+  let mk_config plan ~seed =
     let n = plan.Cheaptalk.Compile.spec.Mediator.Spec.game.Games.Game.n in
     let procs =
       Cheaptalk.Compile.processes plan ~types:(Array.make n 0)
@@ -854,12 +848,9 @@ let serve_cmd =
     in
     (rendezvous_ok, cancel_ok)
   in
-  (* the engine path (--shards N): sessions fold into bounded-memory
-     aggregates as they complete instead of parking every outcome in
-     the result table — the shape that scales to millions of sessions *)
-  let serve_sharded ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs ~smoke
-      ~recycle ~journal ~resume ~checkpoint_every =
-    let make ~seed = mk_config plan ~seed () in
+  let serve ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs ~smoke ~journal
+      ~resume ~checkpoint_every =
+    let make = mk_config plan in
     let profile = Transport.Differential.profile ~show in
     (* graceful shutdown for durable runs: first SIGTERM/SIGINT flips
        the kill switch, the engine persists at the next checkpoint
@@ -874,8 +865,7 @@ let serve_cmd =
     let meta = Obs.Json.Obj [ ("spec", Obs.Json.String spec_name) ] in
     match
       Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-          Engine.run ~backend ~shards ~inflight ~recycle ~pool ?journal ~checkpoint_every
-            ~resume
+          Engine.run ~backend ~shards ~inflight ~pool ?journal ~checkpoint_every ~resume
             ~kill_switch:(fun () -> Atomic.get stop)
             ~on_warning:(fun w -> Printf.eprintf "ctmed serve: warning: %s\n%!" w)
             ~meta ~sessions ~make ~profile ())
@@ -886,7 +876,7 @@ let serve_cmd =
         exit 0
     | stats ->
         Printf.printf
-          "served %d/%d sessions (engine, %s backend, %d shards, inflight %d, -j %d) for %s\n"
+          "served %d/%d sessions (%s backend, %d shards, inflight %d, -j %d) for %s\n"
           stats.Engine.completed sessions
           (Transport.Backend.to_string backend)
           shards inflight jobs spec_name;
@@ -906,20 +896,32 @@ let serve_cmd =
           let identical =
             String.equal (Engine.det_repr reference) (Engine.det_repr stats)
           in
+          let diff =
+            Transport.Differential.run ~a:Transport.Backend.Sim ~b:Transport.Backend.Live
+              ~show ~seeds:(0, sessions)
+              (fun seed -> make ~seed)
+          in
+          let mismatches = List.length diff.Transport.Differential.mismatches in
+          let rendezvous_ok, cancel_ok = session_smoke plan in
           Printf.printf
-            "smoke: sharded aggregate %s sequential unsharded non-recycled run\n"
-            (if identical then "byte-identical to" else "DIVERGED from");
-          if not identical then exit 1
+            "smoke: aggregate %s sequential unsharded non-recycled sim run · %d/%d seeds \
+             byte-identical sim vs live · rendezvous %s · cancel %s\n"
+            (if identical then "byte-identical to" else "DIVERGED from")
+            (sessions - mismatches) sessions
+            (if rendezvous_ok then "ok" else "FAIL")
+            (if cancel_ok then "ok" else "FAIL");
+          if not (identical && Transport.Differential.ok diff && rendezvous_ok && cancel_ok)
+          then exit 1
         end
   in
   let run smoke sessions spec_name jobs batch backend_name shards journal resume_dir
-      checkpoint_every no_recycle =
+      checkpoint_every =
     if jobs < 1 || batch < 1 || sessions < 1 then begin
       Printf.eprintf "ctmed serve: --jobs/--batch/--sessions must be >= 1\n";
       exit 2
     end;
-    if shards < 0 then begin
-      Printf.eprintf "ctmed serve: --shards must be >= 0\n";
+    if (match shards with Some s -> s < 1 | None -> false) then begin
+      Printf.eprintf "ctmed serve: --shards must be >= 1\n";
       exit 2
     end;
     if checkpoint_every < 1 then begin
@@ -943,7 +945,7 @@ let serve_cmd =
         =
       match resume_dir with
       | None ->
-          let shards = if journal <> None && shards = 0 then 1 else shards in
+          let shards = Option.value shards ~default:jobs in
           (spec_name, backend, sessions, shards, batch, journal, false, checkpoint_every)
       | Some dir ->
           let manifest =
@@ -1002,87 +1004,15 @@ let serve_cmd =
         | exception (Failure msg | Invalid_argument msg) ->
             Printf.eprintf "ctmed serve: cannot compile %s: %s\n" spec_name msg;
             exit 2
-        | plan when shards > 0 ->
-            let sessions = if smoke then min sessions 8 else sessions in
-            serve_sharded ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs
-              ~smoke ~recycle:(not no_recycle) ~journal ~resume ~checkpoint_every
         | plan ->
             let sessions = if smoke then min sessions 8 else sessions in
-            let server = Transport.Serve.create ~backend ~batch () in
-            let tickets =
-              Array.init sessions (fun seed ->
-                  (seed, Transport.Serve.submit server (mk_config plan ~seed)))
-            in
-            let served =
-              Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-                  Transport.Serve.drain ~pool server)
-            in
-            let outcomes =
-              Array.map
-                (fun (seed, ticket) ->
-                  match Transport.Serve.result server ticket with
-                  | Some o -> (seed, o)
-                  | None ->
-                      Printf.eprintf "ctmed serve: ticket %d not served\n" ticket;
-                      exit 1)
-                tickets
-            in
-            let dist = Hashtbl.create 8 in
-            Array.iter
-              (fun (_, o) ->
-                let p = Transport.Differential.profile ~show o in
-                Hashtbl.replace dist p (1 + Option.value ~default:0 (Hashtbl.find_opt dist p)))
-              outcomes;
-            Printf.printf "served %d/%d sessions (%s backend, batch %d, -j %d) for %s\n"
-              served sessions
-              (Transport.Backend.to_string backend)
-              batch jobs spec_name;
-            List.iter
-              (fun (p, c) -> Printf.printf "  %6d  %s\n" c p)
-              (List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) dist []));
-            if smoke then begin
-              (* the sim re-runs share one Compile.Pool: the recycled MPC
-                 engines must reproduce the served (fresh-engine) outcomes
-                 byte-for-byte, so the smoke doubles as a live
-                 pooled-vs-fresh differential. Sequential fold — one
-                 session at a time, the pool's contract. *)
-              let ct_pool = Cheaptalk.Compile.Pool.create plan in
-              let n = plan.Cheaptalk.Compile.spec.Mediator.Spec.game.Games.Game.n in
-              let mk_config_pooled ~seed =
-                let procs =
-                  Cheaptalk.Compile.Pool.processes ct_pool ~types:(Array.make n 0)
-                    ~coin_seed:(seed * 7919) ~seed
-                in
-                Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs
-              in
-              let mismatches =
-                Array.fold_left
-                  (fun acc (seed, o) ->
-                    let o_sim = Sim.Runner.run (mk_config_pooled ~seed) in
-                    if
-                      String.equal
-                        (Transport.Differential.outcome_repr ~show o)
-                        (Transport.Differential.outcome_repr ~show o_sim)
-                    then acc
-                    else acc + 1)
-                  0 outcomes
-              in
-              let rendezvous_ok, cancel_ok = session_smoke plan in
-              Printf.printf
-                "smoke: %d/%d seeds byte-identical to pooled sim re-run · rendezvous %s \
-                 · cancel %s\n"
-                (sessions - mismatches) sessions
-                (if rendezvous_ok then "ok" else "FAIL")
-                (if cancel_ok then "ok" else "FAIL");
-              if mismatches > 0 || (not rendezvous_ok) || not cancel_ok then exit 1
-            end)
+            serve ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs ~smoke ~journal
+              ~resume ~checkpoint_every)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ smoke_arg $ sessions_arg $ spec_arg $ jobs_arg $ batch_arg
-      $ backend_arg $ shards_arg $ journal_arg $ resume_arg $ checkpoint_arg
-      $ no_recycle_arg)
+      $ backend_arg $ shards_arg $ journal_arg $ resume_arg $ checkpoint_arg)
 
 (* --- replay --- *)
 

@@ -120,10 +120,17 @@ let plan_memo_exn ?approach ~spec ~theorem ~k ~t () =
 let clear_caches () = Domain.DLS.get memo_dls := []
 let cache_size () = List.length !(Domain.DLS.get memo_dls)
 
-(* Wrap an MPC engine as the honest cheap-talk process for one player —
-   shared by the fresh ([player_process]) and recycled ([Pool]) paths. *)
-let process_of_engine p ~me ~type_ engine =
+let player_rng ~seed ~me = Random.State.make [| 0xC0DE; seed; me |]
+
+let player_process p ~me ~type_ ~coin_seed ~seed =
   let spec = p.spec in
+  let n = spec.Spec.game.Games.Game.n in
+  let engine =
+    Engine.create ?stages:spec.Spec.stages ~n ~degree:p.degree ~faults:p.faults ~me
+      ~circuit:spec.Spec.circuit
+      ~input:(spec.Spec.encode_type ~player:me type_)
+      ~rng:(player_rng ~seed ~me) ~coin_seed ()
+  in
   let emit (r : Engine.reaction) =
     List.map (fun (dst, m) -> Send (dst, m)) r.Engine.sends
     @
@@ -146,70 +153,10 @@ let process_of_engine p ~me ~type_ engine =
     will;
   }
 
-let player_rng ~seed ~me = Random.State.make [| 0xC0DE; seed; me |]
-
-let player_process p ~me ~type_ ~coin_seed ~seed =
-  let spec = p.spec in
-  let n = spec.Spec.game.Games.Game.n in
-  let engine =
-    Engine.create ?stages:spec.Spec.stages ~n ~degree:p.degree ~faults:p.faults ~me
-      ~circuit:spec.Spec.circuit
-      ~input:(spec.Spec.encode_type ~player:me type_)
-      ~rng:(player_rng ~seed ~me) ~coin_seed ()
-  in
-  process_of_engine p ~me ~type_ engine
-
 let processes p ~types ~coin_seed ~seed =
   let n = p.spec.Spec.game.Games.Game.n in
   if Array.length types <> n then invalid_arg "Compile.processes: types arity";
   Array.init n (fun me -> player_process p ~me ~type_:types.(me) ~coin_seed ~seed)
-
-(* ------------------------------------------------------------------ *)
-(* Engine pool: n recycled MPC engines (one per player) for replaying
-   one plan across many sessions. [processes] allocates n full engines
-   per session; the pool instead calls [Mpc.Engine.reset] on the
-   engines it already holds, so the dense session/vote/share arrays are
-   reused. Single-threaded, one session at a time: build the next
-   session's processes only after the previous session has completed
-   (the engines ARE the previous session's state until then). *)
-
-module Pool = struct
-  type nonrec t = { plan : plan; engines : Engine.t option array }
-
-  let create plan =
-    { plan; engines = Array.make plan.spec.Spec.game.Games.Game.n None }
-
-  let plan_of pool = pool.plan
-
-  let engine pool ~me ~input ~rng ~coin_seed =
-    match pool.engines.(me) with
-    | Some e ->
-        Engine.reset e ~input ~rng ~coin_seed;
-        e
-    | None ->
-        let p = pool.plan in
-        let spec = p.spec in
-        let e =
-          Engine.create ?stages:spec.Spec.stages ~n:spec.Spec.game.Games.Game.n
-            ~degree:p.degree ~faults:p.faults ~me ~circuit:spec.Spec.circuit ~input ~rng
-            ~coin_seed ()
-        in
-        pool.engines.(me) <- Some e;
-        e
-
-  let processes pool ~types ~coin_seed ~seed =
-    let p = pool.plan in
-    let spec = p.spec in
-    let n = spec.Spec.game.Games.Game.n in
-    if Array.length types <> n then invalid_arg "Compile.Pool.processes: types arity";
-    Array.init n (fun me ->
-        let e =
-          engine pool ~me
-            ~input:(spec.Spec.encode_type ~player:me types.(me))
-            ~rng:(player_rng ~seed ~me) ~coin_seed
-        in
-        process_of_engine p ~me ~type_:types.(me) e)
-end
 
 (* Explicit-constant instantiation of the paper's message bounds. One AVSS
    is O(n^2) messages, one ABA O(n^2) per round (O(1) expected rounds with

@@ -113,31 +113,3 @@ val message_bound : plan -> int
 (** The paper's asymptotic message budget for one history, instantiated
     with explicit constants — O(nNc) for 4.1/4.2/4.4-strong, O(nc) for the
     weak variants. Used as a sanity ceiling in experiments. *)
-
-(** A pool of n recycled MPC engines (one per player) for running one
-    plan across many sessions: where {!processes} allocates n full
-    engines per session, [Pool.processes] scrubs and reuses the engines
-    it already holds ({!Mpc.Engine.reset}), so the dense
-    session/vote/share arrays — the dominant per-player setup
-    allocation — are recycled. Byte-identical outcomes to {!processes}
-    for the same (types, coin_seed, seed): the differential suite in
-    test_compile holds this per seed.
-
-    A pool is single-threaded, one-session-at-a-time state (the engines
-    ARE the previous session's state until the next reset): one pool per
-    domain or per in-flight session, and build the next session's
-    processes only after the previous session completed. *)
-module Pool : sig
-  type t
-
-  val create : plan -> t
-  val plan_of : t -> plan
-
-  val processes :
-    t ->
-    types:int array ->
-    coin_seed:int ->
-    seed:int ->
-    (Mpc.Engine.msg, int) Sim.Types.process array
-  (** Recycled mirror of {!val:processes} for the pool's plan. *)
-end

@@ -48,9 +48,9 @@ type t = {
   faults : int; (* Byzantine fault bound *)
   me : int;
   circuit : Circuit.t;
-  mutable input : Gf.t;
-  mutable rng : Random.State.t;
-  mutable coin_seed : int;
+  input : Gf.t;
+  rng : Random.State.t;
+  coin_seed : int;
   mul_pos : int array; (* gate index -> dense mul-gate position, -1 otherwise *)
   sessions : Avss.t option array; (* session_index-indexed, created on demand *)
   votes : Aba.t option array; (* vote_index-indexed, created on demand *)
@@ -131,38 +131,6 @@ let create ?stages ~n ~degree ~faults ~me ~circuit ~input ~rng ~coin_seed () =
     stage_results = Array.make (Array.length stages) None;
     result = None;
   }
-
-(* Session recycling: scrub every per-session field back to the state
-   [create] leaves it in, reusing the dense arrays (for realistic specs
-   they are the dominant per-player setup allocation: n*(1+R+M) AVSS
-   session slots plus votes, shares and stage points). What stays:
-   everything derived from the static shape — n, degree, faults, me,
-   the circuit, mul_pos/mul_gate_ids, the stage layout — which is why a
-   reset engine is only valid for a new session of the SAME plan (the
-   caller guarantees the circuit/stages are unchanged; Compile.Pool
-   does). AVSS/ABA sub-states drop to None and are recreated on demand,
-   exactly as a fresh engine would; the new coin_seed flows into the
-   coins because votes are rebuilt. *)
-let reset (e : t) ~input ~rng ~coin_seed =
-  Array.fill e.sessions 0 (Array.length e.sessions) None;
-  Array.fill e.votes 0 (Array.length e.votes) None;
-  Array.fill e.proposed 0 (Array.length e.proposed) false;
-  e.core <- None;
-  Array.fill e.rand_shares 0 (Array.length e.rand_shares) None;
-  Array.fill e.gate_shares 0 (Array.length e.gate_shares) None;
-  Array.iter
-    (fun st ->
-      st.started <- false;
-      st.reduced <- false)
-    e.muls;
-  Array.fill e.stage_sent 0 (Array.length e.stage_sent) false;
-  Array.fill e.output_points 0 (Array.length e.output_points) None;
-  Array.fill e.stage_npoints 0 (Array.length e.stage_npoints) 0;
-  Array.fill e.stage_results 0 (Array.length e.stage_results) None;
-  e.result <- None;
-  e.input <- input;
-  e.rng <- rng;
-  e.coin_seed <- coin_seed
 
 let dealer_of = function
   | Input_share d | Rand_share (d, _) | Mul_share (_, d) -> d

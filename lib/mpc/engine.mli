@@ -72,21 +72,6 @@ val create :
     outputs), and (when the circuit multiplies)
     n >= 2·degree + faults + 1. *)
 
-val reset :
-  t -> input:Field.Gf.t -> rng:Random.State.t -> coin_seed:int -> unit
-(** Scrub the engine back to its post-[create] state in place for a new
-    session of the {e same} plan, reusing every dense array (sessions,
-    votes, shares, stage points — the dominant per-player setup
-    allocation). The static shape (n, degree, faults, me, circuit,
-    stages) is kept; all per-session protocol state is cleared, and
-    AVSS/ABA sub-states are recreated on demand exactly as a fresh
-    engine would (the new [coin_seed] flows into the rebuilt coins).
-    Observationally identical to [create] with the same arguments —
-    the qcheck differential suite holds this to digest equality. Only
-    valid between sessions (never with the engine's messages still in
-    flight) and only with an unchanged circuit/stage layout — the
-    caller guarantees this ({!Compile.Pool} does). *)
-
 type reaction = {
   sends : (int * msg) list;
   result : Field.Gf.t option;  (** our reconstructed output, set once *)

@@ -376,6 +376,13 @@ let deliver c id =
             end
           end)
 
+(* Deliver as one step of the history. *)
+let deliver_step c id =
+  deliver c id;
+  c.steps <- c.steps + 1
+
+let all_halted c = Array.for_all (fun h -> h) c.halted
+
 let drop_all_remaining c =
   (* Mediator-batch atomicity: finish partially delivered mediator
      batches before dropping the rest. Atomicity overrides Delay pins
@@ -387,8 +394,7 @@ let drop_all_remaining c =
   let rec finish () =
     match Pending_set.find c.pending must_finish with
     | Some v ->
-        deliver c v.id;
-        c.steps <- c.steps + 1;
+        deliver_step c v.id;
         finish ()
     | None -> ()
   in
@@ -412,11 +418,9 @@ let drop_all_remaining c =
   in
   drop ()
 
-(* The environment-side predicates shared by [run] and the live
-   transport backend (lib/transport): who is inside a crash window, which
-   items the environment is withholding, and the fairness bound. Keeping
-   them here (not per-loop) is what lets a second delivery loop reproduce
-   [run]'s semantics bit-for-bit. *)
+(* The environment-side predicates of the decision loop: who is inside
+   a crash window, which items the environment is withholding, and the
+   fairness bound. *)
 
 let crashed c pid =
   pid >= 0
@@ -559,69 +563,161 @@ exception Replay_mismatch of string
 
 let replay_fail fmt = Printf.ksprintf (fun s -> raise (Replay_mismatch s)) fmt
 
-(* The shared decision loop behind [run], [run_journaled], [resume] and
-   [replay].
+(* ------------------------------------------------------------------ *)
+(* The decision loop. A driver is one run in flight: its config, its
+   core, the wall-limit origin and the journal hook. [decide] is the only
+   place a scheduler is consulted natively; [run], [resume] (past its
+   scripted prefix) and the live backend's step all call it, so every
+   backend makes the same decisions by construction. It builds no
+   closure per decision, and journal entries only when a hook is
+   present. *)
 
-   [emit]   — receives the journal entry for every decision the loop makes
-              natively; scripted prefix entries are NOT re-emitted.
-   [script] — a journal prefix executed instead of consulting the
-              scheduler. With [sync_scheduler] the scheduler is still
-              called for every scripted entry it originally decided —
-              advancing its internal state (RNG draws, counters) exactly
-              as the original run did — and its answers are cross-checked
-              against the script; divergence raises [Replay_mismatch]
-              instead of silently producing a different run, and after the
-              prefix the loop continues natively. Without [sync_scheduler]
-              the scheduler is never consulted and the run freezes (as a
-              Cutoff) when the script runs out: time-travel. *)
-let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a outcome =
-  let scripted = Option.is_some script in
-  if (not scripted) || sync_scheduler then cfg.scheduler.Scheduler.reset ();
+type ('m, 'a) driver = {
+  cfg : ('m, 'a) config;
+  c : ('m, 'a) core;
+  t_start : float;
+  emit : (Journal.entry -> unit) option;
+}
+
+let make_driver ?slot ?emit (cfg : ('m, 'a) config) =
   let c =
     core_for ?slot ?faults:cfg.faults ?fuzz:cfg.fuzz ~record:cfg.record
       ~mediator:cfg.mediator cfg.processes
   in
-  let have_faults = Option.is_some cfg.faults in
-
   enqueue_starts c;
+  { cfg; c; t_start = (if Option.is_some cfg.wall_limit then now () else 0.0); emit }
 
-  let t_start = if Option.is_some cfg.wall_limit then now () else 0.0 in
-  let fuel_exhausted () =
-    match cfg.fuel with Some f -> c.decisions >= f | None -> false
-  in
-  let wall_exceeded () =
-    match cfg.wall_limit with
-    | None -> false
-    | Some limit ->
-        (* throttled: the clock is only consulted every 256 decisions *)
-        c.decisions land 255 = 0 && now () -. t_start > limit
-  in
+let coords_of (v : pending_view) = { Journal.src = v.src; dst = v.dst; seq = v.seq }
 
-  (* Journal plumbing. [note] is a single branch when nobody journals, so
-     the hot (engine) path stays allocation-free per decision. *)
-  let note e = match emit with None -> () | Some f -> f e in
-  let coords_of (v : pending_view) = { Journal.src = v.src; dst = v.dst; seq = v.seq } in
+(* The run is over once nothing is pending or the step budget is spent. *)
+let finished c ~max_steps =
+  if Pending_set.is_empty c.pending then
+    Some (if all_halted c then All_halted else Quiescent)
+  else if c.steps >= max_steps then Some Cutoff
+  else None
+
+let watchdog_fired d =
+  (match d.cfg.fuel with Some f -> d.c.decisions >= f | None -> false)
+  ||
+  match d.cfg.wall_limit with
+  | None -> false
+  | Some limit ->
+      (* throttled: the clock is only consulted every 256 decisions *)
+      d.c.decisions land 255 = 0 && now () -. d.t_start > limit
+
+(* The watchdog's end: remaining messages are dropped so sent =
+   delivered + dropped conservation still holds. *)
+let time_out c =
+  drop_all_remaining c;
+  Obs.Metrics.Builder.timed_out c.mb
+
+let count_fallback c (reason : Journal.reason) =
+  match reason with
+  | Invalid -> Obs.Metrics.Builder.invalid_decision c.mb
+  | Sched_exn -> Obs.Metrics.Builder.scheduler_exn c.mb
+  | Blocked -> ()
+
+(* Redirect the decision to the oldest deliverable item. *)
+let fallback d reason =
+  let c = d.c in
+  count_fallback c reason;
+  (match oldest_deliverable c with
+  | Some v ->
+      (match d.emit with
+      | Some f -> f (Journal.Fallback (reason, Some (coords_of v)))
+      | None -> ());
+      deliver_step c v.id
+  | None -> (
+      (* everything withheld: burn the decision (pins and windows expire
+         at fixed decision counts, so this always clears) *)
+      match d.emit with Some f -> f (Journal.Fallback (reason, None)) | None -> ()));
+  None
+
+(* One decision; [None] while the run goes on. *)
+let decide d =
+  let c = d.c and cfg = d.cfg in
+  match finished c ~max_steps:cfg.max_steps with
+  | Some _ as t -> t
+  | None when watchdog_fired d ->
+      time_out c;
+      (match d.emit with Some f -> f Journal.Watchdog | None -> ());
+      Some Timed_out
+  | None -> (
+      tick c;
+      match
+        if cfg.scheduler.relaxed then None else starving c ~bound:cfg.starvation_bound
+      with
+      | Some v ->
+          Obs.Metrics.Builder.starved c.mb;
+          (match d.emit with Some f -> f (Journal.Forced (coords_of v)) | None -> ());
+          deliver_step c v.id;
+          None
+      | None -> (
+          (* fatal exceptions (resource exhaustion, violated assertions —
+             genuine scheduler bugs) re-raise with their backtrace; any
+             other is a recorded fallback *)
+          match cfg.scheduler.choose ~step:c.steps ~history:c.pattern ~pending:c.pending with
+          | exception ((Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
+              Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
+          | exception _ -> fallback d Journal.Sched_exn
+          | Deliver id when item_mem c id ->
+              (* a choice the environment is withholding is redirected *)
+              if Option.is_some c.faults && blocked c id then fallback d Journal.Blocked
+              else begin
+                (match (d.emit, item_get c id) with
+                | Some f, Some it -> f (Journal.Chose (coords_of (Pending_set.view_of it.node)))
+                | _ -> ());
+                deliver_step c id;
+                None
+              end
+          | Deliver _ -> fallback d Journal.Invalid
+          | Stop_delivery when cfg.scheduler.relaxed ->
+              drop_all_remaining c;
+              (match d.emit with Some f -> f Journal.Stopped | None -> ());
+              Some Deadlocked
+          | Stop_delivery ->
+              (* non-relaxed schedulers may not stop: force oldest *)
+              fallback d Journal.Invalid))
+
+let rec decide_all d = match decide d with None -> decide_all d | Some t -> t
+
+let run_native ?slot ?emit (cfg : ('m, 'a) config) =
+  cfg.scheduler.Scheduler.reset ();
+  let d = make_driver ?slot ?emit cfg in
+  outcome_of d.c (decide_all d)
+
+let run ?slot cfg = run_native ?slot cfg
+let run_journaled ~emit cfg = run_native ~emit cfg
+
+(* [resume] and [replay]: a journal prefix executed instead of consulting
+   the scheduler. With [sync_scheduler] the scheduler is still called
+   for every scripted entry it originally decided — advancing its
+   internal state (RNG draws, counters) exactly as the original run did
+   — and its answers are cross-checked against the script; divergence
+   raises [Replay_mismatch] instead of silently producing a different
+   run, and after the prefix the loop continues natively, passing
+   [emit] only the entries it decides itself. Without [sync_scheduler]
+   the scheduler is never consulted and the run freezes (as a Cutoff)
+   when the script runs out: time-travel. *)
+let run_scripted ?emit ~script ~sync_scheduler (cfg : ('m, 'a) config) : 'a outcome =
+  if sync_scheduler then cfg.scheduler.Scheduler.reset ();
+  let d = make_driver ?emit cfg in
+  let c = d.c in
   let coords_eq (a : Journal.coords) (b : Journal.coords) =
     a.Journal.src = b.Journal.src && a.Journal.dst = b.Journal.dst
     && a.Journal.seq = b.Journal.seq
   in
-  let script_arr = match script with Some a -> a | None -> [||] in
-  let script_len = Array.length script_arr in
-  let script_pos = ref 0 in
   let find_coords (co : Journal.coords) =
     Pending_set.find c.pending (fun (v : pending_view) ->
         v.src = co.Journal.src && v.dst = co.Journal.dst && v.seq = co.Journal.seq)
   in
-  (* Consult the scheduler exactly as the native loop always has: fatal
-     exceptions (resource exhaustion, violated assertions — genuine
-     scheduler bugs) re-raise with their backtrace; anything else is
-     reported as [Error] and handled as a recorded fallback. *)
+  (* the scheduler consulted for a scripted entry, with [decide]'s
+     exception policy: [Error] is a recorded fallback *)
   let choose () =
     match cfg.scheduler.choose ~step:c.steps ~history:c.pattern ~pending:c.pending with
     | d -> Ok d
     | exception ((Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
-        let bt = Printexc.get_raw_backtrace () in
-        Printexc.raise_with_backtrace e bt
+        Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
     | exception _ -> Error ()
   in
 
@@ -629,13 +725,10 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
      Every entry is cross-checked against the driver's own deterministic
      state (starvation override, fallback target, pending membership) —
      a journal replayed against the wrong config fails loudly. *)
-  let exec_scripted (e : Journal.entry) =
-    let entry_no = !script_pos - 1 in
+  let exec_scripted entry_no (e : Journal.entry) =
     let deliver_coords what co =
       match find_coords co with
-      | Some v ->
-          deliver c v.id;
-          c.steps <- c.steps + 1
+      | Some v -> deliver_step c v.id
       | None ->
           replay_fail "journal entry %d (%s %s): message is not pending" entry_no what
             (Journal.coords_repr co)
@@ -643,8 +736,7 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
     match e with
     | Journal.Watchdog ->
         (* the watchdog fires BEFORE the decision counter ticks *)
-        drop_all_remaining c;
-        Obs.Metrics.Builder.timed_out c.mb;
+        time_out c;
         Some Timed_out
     | Journal.Stopped ->
         tick c;
@@ -683,7 +775,7 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
                        entry_no
                        (Journal.coords_repr (coords_of v))
                        (Journal.coords_repr co)
-                   else if have_faults && blocked c id then
+                   else if Option.is_some c.faults && blocked c id then
                      replay_fail "journal entry %d: choice %s is blocked on replay" entry_no
                        (Journal.coords_repr co)
                | None -> assert false)
@@ -700,7 +792,7 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
              | Error () -> Some Journal.Sched_exn
              | Ok (Deliver id) when not (item_mem c id) -> Some Journal.Invalid
              | Ok (Deliver id) ->
-                 if have_faults && blocked c id then Some Journal.Blocked else None
+                 if Option.is_some c.faults && blocked c id then Some Journal.Blocked else None
              | Ok Stop_delivery ->
                  if cfg.scheduler.relaxed then None else Some Journal.Invalid
            in
@@ -709,14 +801,9 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
            | _ ->
                replay_fail "journal entry %d: fallback reason mismatch (expected %s)" entry_no
                  (Journal.reason_repr reason));
-        (match reason with
-        | Journal.Invalid -> Obs.Metrics.Builder.invalid_decision c.mb
-        | Journal.Sched_exn -> Obs.Metrics.Builder.scheduler_exn c.mb
-        | Journal.Blocked -> ());
+        count_fallback c reason;
         (match (co_opt, oldest_deliverable c) with
-        | Some co, Some v when coords_eq (coords_of v) co ->
-            deliver c v.id;
-            c.steps <- c.steps + 1
+        | Some co, Some v when coords_eq (coords_of v) co -> deliver_step c v.id
         | None, None -> () (* burnt decision, as journaled *)
         | Some co, _ ->
             replay_fail "journal entry %d: fallback target mismatch at %s" entry_no
@@ -727,108 +814,21 @@ let run_impl ?slot ?emit ?script ~sync_scheduler (cfg : ('m, 'a) config) : 'a ou
         None
   in
 
-  let termination = ref Quiescent in
-  let running = ref true in
-  while !running do
-    if Pending_set.is_empty c.pending then begin
-      termination := (if Array.for_all (fun h -> h) c.halted then All_halted else Quiescent);
-      running := false
-    end
-    else if c.steps >= cfg.max_steps then begin
-      termination := Cutoff;
-      running := false
-    end
-    else if !script_pos < script_len then begin
-      let e = script_arr.(!script_pos) in
-      incr script_pos;
-      match exec_scripted e with
-      | Some t ->
-          termination := t;
-          running := false
-      | None -> ()
-    end
-    else if scripted && not sync_scheduler then begin
-      (* time-travel: the journal prefix ends here — freeze the run *)
-      termination := Cutoff;
-      running := false
-    end
-    else if fuel_exhausted () || wall_exceeded () then begin
-      (* watchdog: end the run loudly — remaining messages are dropped so
-         sent = delivered + dropped conservation still holds. During a
-         scripted prefix this native check is intentionally skipped: the
-         journal already proves the original run did not fire here, and
-         wall-clock is environmental — re-evaluating it would let a slow
-         replaying host diverge from the recorded decisions. *)
-      drop_all_remaining c;
-      Obs.Metrics.Builder.timed_out c.mb;
-      note Journal.Watchdog;
-      termination := Timed_out;
-      running := false
-    end
-    else begin
-      tick c;
-      (* Scheduler choices of a blocked item are redirected to the oldest
-         deliverable one; if nothing is deliverable the decision is burnt
-         (pins and windows expire at fixed decision counts, so this
-         always clears). *)
-      let starving_now =
-        if cfg.scheduler.relaxed then None else starving c ~bound:cfg.starvation_bound
-      in
-      match starving_now with
-      | Some v ->
-          Obs.Metrics.Builder.starved c.mb;
-          note (Journal.Forced (coords_of v));
-          deliver c v.id;
-          c.steps <- c.steps + 1
-      | None -> (
-          let fallback reason =
-            (match reason with
-            | Journal.Invalid -> Obs.Metrics.Builder.invalid_decision c.mb
-            | Journal.Sched_exn -> Obs.Metrics.Builder.scheduler_exn c.mb
-            | Journal.Blocked -> ());
-            match oldest_deliverable c with
-            | Some v ->
-                note (Journal.Fallback (reason, Some (coords_of v)));
-                deliver c v.id;
-                c.steps <- c.steps + 1
-            | None ->
-                (* everything withheld: burn the decision *)
-                note (Journal.Fallback (reason, None))
-          in
-          match choose () with
-          | Error () -> fallback Journal.Sched_exn
-          | Ok (Deliver id) when item_mem c id ->
-              if have_faults && blocked c id then fallback Journal.Blocked
-              else begin
-                (match emit with
-                | None -> ()
-                | Some f -> (
-                    match item_get c id with
-                    | Some it -> f (Journal.Chose (coords_of (Pending_set.view_of it.node)))
-                    | None -> assert false));
-                deliver c id;
-                c.steps <- c.steps + 1
-              end
-          | Ok (Deliver _) ->
-              (* invalid id: fall back to oldest *)
-              fallback Journal.Invalid
-          | Ok Stop_delivery ->
-              if cfg.scheduler.relaxed then begin
-                drop_all_remaining c;
-                note Journal.Stopped;
-                termination := Deadlocked;
-                running := false
-              end
-              else
-                (* Non-relaxed schedulers may not stop: force oldest. *)
-                fallback Journal.Invalid)
-    end
-  done;
-  outcome_of c !termination
+  (* The fuel/wall watchdog is checked only natively: during a scripted
+     prefix the journal already proves the original run did not fire
+     there, and wall-clock is environmental — re-evaluating it would let
+     a slow replaying host diverge from the recorded decisions. *)
+  let rec scripted pos =
+    match finished c ~max_steps:cfg.max_steps with
+    | Some t -> t
+    | None when pos < Array.length script -> (
+        match exec_scripted pos script.(pos) with Some t -> t | None -> scripted (pos + 1))
+    | None when sync_scheduler -> decide_all d
+    | None -> Cutoff (* time-travel: the journal prefix ends here — freeze the run *)
+  in
+  outcome_of c (scripted 0)
 
-let run ?slot (cfg : ('m, 'a) config) : 'a outcome = run_impl ?slot ~sync_scheduler:true cfg
-let run_journaled ~emit cfg = run_impl ~emit ~sync_scheduler:true cfg
-let resume ~entries ?emit cfg = run_impl ?emit ~script:entries ~sync_scheduler:true cfg
+let resume ~entries ?emit cfg = run_scripted ?emit ~script:entries ~sync_scheduler:true cfg
 
 let replay ?upto ~entries cfg =
   let entries =
@@ -838,7 +838,7 @@ let replay ?upto ~entries cfg =
     | Some k when k >= Array.length entries -> entries
     | Some k -> Array.sub entries 0 k
   in
-  run_impl ~script:entries ~sync_scheduler:false cfg
+  run_scripted ~script:entries ~sync_scheduler:false cfg
 
 let moves_with_wills processes (o : 'a outcome) =
   Array.mapi
@@ -882,8 +882,7 @@ module Step = struct
     let rec next () =
       match Pending_set.find c.pending (fun v -> v.src = env_pid) with
       | Some v ->
-          deliver c v.id;
-          c.steps <- c.steps + 1;
+          deliver_step c v.id;
           next ()
       | None -> ()
     in
@@ -904,14 +903,13 @@ module Step = struct
   let deliver c ~id =
     if not (item_mem c id) then
       invalid_arg (Printf.sprintf "Runner.Step.deliver: id %d is not pending" id);
-    deliver c id;
-    c.steps <- c.steps + 1
+    deliver_step c id
 
   let finish c =
     if not (Pending_set.is_empty c.pending) then
       invalid_arg "Runner.Step.finish: messages still pending (use stop or cutoff)";
     outcome_of c
-      (if Array.for_all (fun h -> h) c.halted then All_halted else Quiescent)
+      (if all_halted c then All_halted else Quiescent)
 
   let stop c =
     (* The relaxed environment's Stop_delivery: mediator-batch atomicity
@@ -970,41 +968,21 @@ module Step = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Driver: the transport extraction. The exact operations [run] performs
-   internally — enqueue starts, deliver with full fault/batch/metrics
-   semantics, crash-window ticking, the withholding and fairness
-   predicates, the drop/outcome paths — exposed so an external delivery
-   loop (lib/transport's live backend) can reproduce [run]'s histories
-   bit-for-bit while hosting the processes however it likes. *)
+(* Driver: the decision loop as a value, for a caller that hosts the
+   processes itself and wants the decisions one at a time. *)
 
 module Driver = struct
-  type ('m, 'a) t = ('m, 'a) core
+  type ('m, 'a) t = ('m, 'a) driver
 
-  let create ?slot ?faults ?fuzz ?(record = true) ~mediator procs =
-    core_for ?slot ?faults ?fuzz ~record ~mediator procs
-  let enqueue_starts c = enqueue_starts c
-  let pending c = c.pending
-  let history c = c.pattern
-  let steps c = c.steps
-  let decisions c = c.decisions
-  let all_halted c = Array.for_all (fun h -> h) c.halted
-  let has_faults c = Option.is_some c.faults
-  let mem c ~id = item_mem c id
-  let tick c = tick c
-  let blocked c ~id = blocked c id
-  let oldest_deliverable c = oldest_deliverable c
-  let starving c ~bound = starving c ~bound
+  let create ?slot (cfg : ('m, 'a) config) =
+    cfg.scheduler.Scheduler.reset ();
+    make_driver ?slot cfg
 
-  let deliver c ~id =
-    if not (item_mem c id) then
-      invalid_arg (Printf.sprintf "Runner.Driver.deliver: id %d is not pending" id);
-    deliver c id;
-    c.steps <- c.steps + 1
+  let decide = decide
 
-  let drop_all_remaining c = drop_all_remaining c
-  let note_starved c = Obs.Metrics.Builder.starved c.mb
-  let note_invalid_decision c = Obs.Metrics.Builder.invalid_decision c.mb
-  let note_scheduler_exn c = Obs.Metrics.Builder.scheduler_exn c.mb
-  let note_timed_out c = Obs.Metrics.Builder.timed_out c.mb
-  let outcome c termination = outcome_of c termination
+  let cancel d =
+    time_out d.c;
+    outcome_of d.c Timed_out
+
+  let outcome d termination = outcome_of d.c termination
 end

@@ -275,91 +275,39 @@ module Step : sig
       forks yields identical traces. *)
 end
 
-(** The transport extraction: the operations {!run} performs internally
-    — enqueue the environment's start signals, deliver one message with
-    the full fault/batch/activation/metrics semantics, tick the decision
-    counter (announcing crash windows), the withholding ([blocked]) and
-    fairness ([starving]) predicates, the drop and outcome paths —
-    exposed as a first-class driver state so an {e external} delivery
-    loop can reproduce {!run}'s histories bit-for-bit.
-
-    This is the interface [lib/transport] builds its backends on: the
-    in-process simulator ({!run} itself) is one loop over these hooks,
-    the live effects/domains backend another. The determinism contract
-    carries over: every hook's observable behaviour is a pure function
-    of the calls made so far (plus the fault plan's seed), never of
-    wall-clock or domain placement. *)
+(** The decision loop as a value: {!run}'s loop, one decision at a time,
+    for a caller that hosts the processes itself. {!run}, {!resume}
+    (past its journal prefix) and the live backend ([Transport.Live])
+    all decide through {!Driver.decide}, so a live history is {!run}'s
+    history by construction. Every decision is a pure function of the
+    calls made so far (plus the fault plan's seed), never of wall-clock
+    or domain placement — except the [wall_limit] watchdog. *)
 module Driver : sig
   type ('m, 'a) t
 
-  val create :
-    ?slot:('m, 'a) Slot.t ->
-    ?faults:Faults.Plan.t ->
-    ?fuzz:(src:Types.pid -> dst:Types.pid -> seq:int -> 'm -> 'm) ->
-    ?record:bool ->
-    mediator:int option ->
-    ('m, 'a) Types.process array ->
-    ('m, 'a) t
-  (** Fresh driver state; crash-restart windows are sampled from the
-      plan per process, exactly as {!run} does before its first
-      decision. With [?slot] the state recycles the slot's parked
-      storage exactly as [run ~slot] does — the live backend's
-      per-window-entry recycling path. *)
+  val create : ?slot:('m, 'a) Slot.t -> ('m, 'a) config -> ('m, 'a) t
+  (** {!run}'s preamble: reset the scheduler, build the driver state
+      over the config's processes (recycling [slot]'s parked storage,
+      as [run ~slot] does), enqueue every start signal and start the
+      wall-limit clock. The outcome's [metrics.wall_clock] counts from
+      here. *)
 
-  val enqueue_starts : ('m, 'a) t -> unit
-  (** Enqueue every process's start signal, in pid order — the first
-      thing {!run} does. *)
+  val decide : ('m, 'a) t -> Types.termination option
+  (** One decision of {!run}'s loop: the pending-empty and [max_steps]
+      checks, the fuel/wall watchdog, the decision tick (announcing
+      crash windows), the fairness override, the scheduler call (fatal
+      exceptions re-raise, others fall back to oldest-deliverable
+      delivery), the fault-plane veto and the relaxed [Stop_delivery].
+      [None] while the run goes on; [Some t] once it has ended as [t],
+      with any drops already done. Builds no closures per call. Do not
+      call again after [Some]. *)
 
-  val pending : ('m, 'a) t -> Pending_set.t
-  (** Live pending set (read-only view). *)
-
-  val history : ('m, 'a) t -> Scheduler.pattern_event list
-  (** Reverse-chronological pattern history — the [~history] argument a
-      scheduler's [choose] expects. *)
-
-  val steps : ('m, 'a) t -> int
-  val decisions : ('m, 'a) t -> int
-
-  val all_halted : ('m, 'a) t -> bool
-  val has_faults : ('m, 'a) t -> bool
-  val mem : ('m, 'a) t -> id:int -> bool
-
-  val tick : ('m, 'a) t -> unit
-  (** One scheduler decision: the counter ticks (also on burnt/vetoed
-      choices — the watchdog fuel unit) and any crash window covering
-      the new count is announced (counted + emitted once). *)
-
-  val blocked : ('m, 'a) t -> id:int -> bool
-  (** The environment is withholding this item: Delay-pinned past the
-      current decision count, or addressed into an open crash window. *)
-
-  val oldest_deliverable : ('m, 'a) t -> Types.pending_view option
-  (** Oldest pending item that is not {!blocked} — the fallback target
-      for invalid or vetoed scheduler choices. *)
-
-  val starving : ('m, 'a) t -> bound:int -> Types.pending_view option
-  (** The fairness override: the oldest pending message once it has
-      waited more than [bound] decisions (Delay pins do not protect it;
-      crash windows do). Only consulted for non-relaxed schedulers. *)
-
-  val deliver : ('m, 'a) t -> id:int -> unit
-  (** Deliver one pending message with {!run}'s exact semantics
-      (corrupt fuzzing, duplicate re-enqueue, batch marking, activation,
-      trace + metrics emission); counts as one step.
-      @raise Invalid_argument if [id] is not pending. *)
-
-  val drop_all_remaining : ('m, 'a) t -> unit
-  (** The Stop_delivery / watchdog path: complete any partially
-      delivered mediator batch (Section 5 atomicity), then drop the
-      rest with [Dropped] events — conservation holds. *)
-
-  val note_starved : ('m, 'a) t -> unit
-  val note_invalid_decision : ('m, 'a) t -> unit
-  val note_scheduler_exn : ('m, 'a) t -> unit
-  val note_timed_out : ('m, 'a) t -> unit
-  (** Metric hooks for the loop-level events only the caller can see. *)
+  val cancel : ('m, 'a) t -> 'a Types.outcome
+  (** End the run from outside, as the watchdog would: complete any
+      partially delivered mediator batch, drop the rest (conservation
+      holds), count it timed out and return the [Timed_out] outcome. *)
 
   val outcome : ('m, 'a) t -> Types.termination -> 'a Types.outcome
   (** Snapshot the driver state as a finished outcome ([moves]/[halted]
-      are copies — the driver may keep evolving). *)
+      are copies). *)
 end

@@ -1,6 +1,5 @@
 type t = Sim | Live
 
-let all = [ Sim; Live ]
 let to_string = function Sim -> "sim" | Live -> "live"
 
 let of_string = function
@@ -10,22 +9,3 @@ let of_string = function
 
 let run ?(backend = Sim) cfg =
   match backend with Sim -> Sim.Runner.run cfg | Live -> Live.run cfg
-
-module type BACKEND = sig
-  val name : string
-  val run : ('m, 'a) Sim.Runner.config -> 'a Sim.Types.outcome
-end
-
-module Sim_backend = struct
-  let name = "sim"
-  let run cfg = Sim.Runner.run cfg
-end
-
-module Live_backend = struct
-  let name = "live"
-  let run = Live.run
-end
-
-let impl = function
-  | Sim -> (module Sim_backend : BACKEND)
-  | Live -> (module Live_backend : BACKEND)

@@ -5,12 +5,12 @@
     ({!Sim.Runner.run} itself) and the effects/domains {!Live} runtime.
     The determinism contract is backend-independent — for any config
     whose [wall_limit] is unset, both backends produce byte-identical
-    outcomes, traces and deterministic metrics on the same seed; the
-    {!Differential} harness enforces this. *)
+    outcomes, traces and deterministic metrics on the same seed, since
+    both decide through {!Sim.Runner.Driver.decide}; the
+    {!Differential} harness checks it. *)
 
 type t = Sim | Live
 
-val all : t list
 val to_string : t -> string
 
 val of_string : string -> t
@@ -20,12 +20,3 @@ val of_string : string -> t
 val run : ?backend:t -> ('m, 'a) Sim.Runner.config -> 'a Sim.Types.outcome
 (** Execute one complete history on the chosen backend (default
     [Sim]). *)
-
-(** First-class backend modules, for callers that select once and run
-    many configs. *)
-module type BACKEND = sig
-  val name : string
-  val run : ('m, 'a) Sim.Runner.config -> 'a Sim.Types.outcome
-end
-
-val impl : t -> (module BACKEND)

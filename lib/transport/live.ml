@@ -1,13 +1,10 @@
-(* The live backend. Players are effects fibers; delivery arbitration is
-   the exact Runner.run loop body, re-expressed over Runner.Driver hooks
-   so the histories are bit-for-bit those of the simulator (the
-   differential suite in test_transport holds this to byte identity). *)
+(* The live backend. Players are effects fibers; every delivery decision
+   is Runner.Driver.decide, the simulator's own loop, so a live history
+   is the simulator's history by construction. *)
 
 module Runner = Sim.Runner
 module Driver = Sim.Runner.Driver
-module Scheduler = Sim.Scheduler
 module Types = Sim.Types
-module Pending_set = Sim.Pending_set
 
 exception Cancelled
 
@@ -88,18 +85,15 @@ let host fb will =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A live session: shared driver state + one fiber per player. *)
+(* A live session: Runner's decision loop + one fiber per player. *)
 
 type ('m, 'a) t = {
-  cfg : ('m, 'a) Runner.config;
   d : ('m, 'a) Driver.t;
   fibers : ('m, 'a) fiber array;
-  t_start : float;
   mutable result : 'a Types.outcome option;
 }
 
 let start ?slot (cfg : ('m, 'a) Runner.config) =
-  cfg.Runner.scheduler.Scheduler.reset ();
   let fibers = Array.map (fun _ -> make_fiber ()) cfg.Runner.processes in
   let hosted =
     Array.mapi
@@ -109,136 +103,29 @@ let start ?slot (cfg : ('m, 'a) Runner.config) =
         host fb p.Types.will)
       cfg.Runner.processes
   in
-  let d =
-    Driver.create ?slot ?faults:cfg.Runner.faults ?fuzz:cfg.Runner.fuzz
-      ~record:cfg.Runner.record ~mediator:cfg.Runner.mediator hosted
-  in
-  Driver.enqueue_starts d;
-  let t_start =
-    if Option.is_some cfg.Runner.wall_limit then Runner.now () else 0.0
-  in
-  { cfg; d; fibers; t_start; result = None }
+  { d = Driver.create ?slot { cfg with Runner.processes = hosted }; fibers; result = None }
 
-let finish t term =
-  let o = Driver.outcome t.d term in
+let finish t o =
   Array.iter cancel_fiber t.fibers;
   t.result <- Some o;
   o
 
-(* One arbiter decision. The branch structure below mirrors
-   Runner.run's loop body line for line — any divergence is a
-   determinism bug the differential suite exists to catch. *)
 let step (t : ('m, 'a) t) =
   match t.result with
   | Some o -> `Done o
   | None -> (
-      let cfg = t.cfg in
-      let d = t.d in
-      let fuel_exhausted () =
-        match cfg.Runner.fuel with Some f -> Driver.decisions d >= f | None -> false
-      in
-      let wall_exceeded () =
-        match cfg.Runner.wall_limit with
-        | None -> false
-        | Some limit ->
-            (* throttled: the clock is only consulted every 256 decisions *)
-            Driver.decisions d land 255 = 0
-            && Runner.now () -. t.t_start > limit
-      in
-      if Pending_set.is_empty (Driver.pending d) then
-        `Done
-          (finish t
-             (if Driver.all_halted d then Types.All_halted else Types.Quiescent))
-      else if Driver.steps d >= cfg.Runner.max_steps then `Done (finish t Types.Cutoff)
-      else if fuel_exhausted () || wall_exceeded () then begin
-        Driver.drop_all_remaining d;
-        Driver.note_timed_out d;
-        `Done (finish t Types.Timed_out)
-      end
-      else begin
-        Driver.tick d;
-        let starving =
-          if cfg.Runner.scheduler.Scheduler.relaxed then None
-          else Driver.starving d ~bound:cfg.Runner.starvation_bound
-        in
-        match starving with
-        | Some v ->
-            Driver.note_starved d;
-            Driver.deliver d ~id:v.Types.id;
-            `Running
-        | None -> (
-            let decision =
-              match
-                cfg.Runner.scheduler.Scheduler.choose ~step:(Driver.steps d)
-                  ~history:(Driver.history d) ~pending:(Driver.pending d)
-              with
-              | dec -> dec
-              | exception ((Stack_overflow | Out_of_memory | Assert_failure _) as e)
-                ->
-                  let bt = Printexc.get_raw_backtrace () in
-                  Printexc.raise_with_backtrace e bt
-              | exception _ ->
-                  Driver.note_scheduler_exn d;
-                  Types.Deliver (Pending_set.oldest (Driver.pending d)).Types.id
-            in
-            let deliver_fallback () =
-              match Driver.oldest_deliverable d with
-              | Some v -> Driver.deliver d ~id:v.Types.id
-              | None -> () (* everything withheld: burn the decision *)
-            in
-            match decision with
-            | Types.Deliver id when Driver.mem d ~id ->
-                if Driver.has_faults d && Driver.blocked d ~id then
-                  deliver_fallback ()
-                else Driver.deliver d ~id;
-                `Running
-            | Types.Deliver _ ->
-                Driver.note_invalid_decision d;
-                deliver_fallback ();
-                `Running
-            | Types.Stop_delivery ->
-                if cfg.Runner.scheduler.Scheduler.relaxed then begin
-                  Driver.drop_all_remaining d;
-                  `Done (finish t Types.Deadlocked)
-                end
-                else begin
-                  Driver.note_invalid_decision d;
-                  deliver_fallback ();
-                  `Running
-                end)
-      end)
+      match Driver.decide t.d with
+      | None -> `Running
+      | Some term -> `Done (finish t (Driver.outcome t.d term)))
 
 let outcome t = t.result
 
-let cancel t =
-  match t.result with
-  | Some o -> o
-  | None ->
-      Driver.drop_all_remaining t.d;
-      Driver.note_timed_out t.d;
-      finish t Types.Timed_out
+let cancel t = match t.result with Some o -> o | None -> finish t (Driver.cancel t.d)
 
 let run cfg =
   let t = start cfg in
   let rec go () = match step t with `Done o -> o | `Running -> go () in
   go ()
-
-let run_round_robin ts =
-  let n = Array.length ts in
-  let out = Array.make n None in
-  let remaining = ref n in
-  while !remaining > 0 do
-    Array.iteri
-      (fun i t ->
-        if Option.is_none out.(i) then
-          match step t with
-          | `Running -> ()
-          | `Done o ->
-              out.(i) <- Some o;
-              decr remaining)
-      ts
-  done;
-  Array.map Option.get out
 
 (* ------------------------------------------------------------------ *)
 (* Direct-style player programs. *)

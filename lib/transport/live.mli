@@ -3,15 +3,15 @@
     Where {!Sim.Runner.run} calls process closures as plain functions,
     this backend hosts every process on its own one-shot delimited
     continuation: a player fiber blocks on an [Await] effect until the
-    arbiter delivers it a signal (its start activation or a message),
-    reacts, and suspends again. Delivery arbitration itself stays
-    serialised through the {e same} seeded scheduler and the same
-    {!Sim.Runner.Driver} bookkeeping as the simulator — that is what
-    makes a live run a pure function of its seed (DESIGN.md §9/§14) and
-    what the differential harness checks byte-for-byte. Genuine
-    concurrency lives one level up: independent sessions run on separate
-    pool domains ({!Serve}), and a session in flight is steppable, so
-    many sessions interleave on one domain ({!step}, {!run_round_robin}).
+    driver delivers it a signal (its start activation or a message),
+    reacts, and suspends again. That is all it does: every delivery
+    decision is {!Sim.Runner.Driver.decide}, the simulator's own loop
+    with the same seeded scheduler, so a live run is the simulator's run
+    on the same seed by construction (DESIGN.md §9/§14). Genuine
+    concurrency lives one level up: a session in flight is steppable, so
+    the session engine ([Engine.run ~backend:Live]) multiplexes an
+    in-flight window of them per shard and runs shards on separate pool
+    domains.
 
     A {!t} (and any process built by {!process_of}) is single-domain,
     single-use state: create it, drive it to completion (or {!cancel}
@@ -29,21 +29,15 @@ type ('m, 'a) t
 
 val start :
   ?slot:('m, 'a) Sim.Runner.Slot.t -> ('m, 'a) Sim.Runner.config -> ('m, 'a) t
-(** Spawn one fiber per process (each suspended at its first [Await]),
-    create the shared driver state, enqueue the environment's start
-    signals and reset the scheduler — the exact preamble of
-    {!Sim.Runner.run}, with the players now live. No delivery happens
-    until {!step}. With [?slot] the driver state recycles the slot's
-    parked storage ({!Sim.Runner.Slot}); only hand a slot whose previous
-    session has completed. *)
+(** Spawn one fiber per process (each suspended at its first [Await])
+    and create the driver over the hosted processes
+    ({!Sim.Runner.Driver.create}: scheduler reset, start signals
+    enqueued). No delivery happens until {!step}. With [?slot] the driver
+    state recycles the slot's parked storage ({!Sim.Runner.Slot}); only
+    hand a slot whose previous session has completed. *)
 
 val step : ('m, 'a) t -> [ `Running | `Done of 'a Sim.Types.outcome ]
-(** One arbiter decision, replicating {!Sim.Runner.run}'s loop body
-    bit-for-bit: termination checks (pending-empty, max_steps cutoff,
-    fuel/wall watchdog), decision tick with crash-window announcement,
-    the fairness override, scheduler consultation with the exact
-    exception policy, fault veto with oldest-deliverable fallback, and
-    the relaxed [Stop_delivery] path. On completion every still-blocked
+(** One {!Sim.Runner.Driver.decide}. On completion every still-blocked
     fiber is cancelled and the outcome is cached; further calls return
     [`Done] with the same outcome. *)
 
@@ -61,13 +55,6 @@ val cancel : ('m, 'a) t -> 'a Sim.Types.outcome
 val run : ('m, 'a) Sim.Runner.config -> 'a Sim.Types.outcome
 (** [start] + [step] to completion: the drop-in live equivalent of
     {!Sim.Runner.run} — same config, same per-seed outcome. *)
-
-val run_round_robin : ('m, 'a) t array -> 'a Sim.Types.outcome array
-(** Multiplex several in-flight sessions on the calling domain, one
-    {!step} each per round, until all complete; results in input order.
-    Each session's history is unaffected by the interleaving (sessions
-    share no state), so the result equals mapping {!run} — this is the
-    batch shape {!Serve.drain} hands to a pool domain. *)
 
 (** {1 Direct-style player programs}
 

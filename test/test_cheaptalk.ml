@@ -210,72 +210,6 @@ let test_recommendation_privacy_structure () =
     (Hashtbl.mem seen (1, 0) && Hashtbl.mem seen (1, 1));
   Alcotest.(check bool) "(0,0) never occurs" false (Hashtbl.mem seen (0, 0))
 
-(* --- engine pool recycling (DESIGN.md section 17) --- *)
-
-(* Compile.Pool reuses MPC engines via Mpc.Engine.reset instead of
-   allocating n fresh engines per session; every observable of a pooled
-   session — termination, moves, accounting, deterministic metrics,
-   trace digest — must equal the fresh-engine session for the same
-   (types, coin_seed, seed), session after session on the same pool. *)
-
-let outcome_repr o = Transport.Differential.outcome_repr ~show:string_of_int o
-
-let prop_pool_processes_match_fresh =
-  QCheck.Test.make ~count:25 ~name:"Pool.processes = processes, session after session"
-    QCheck.(pair (int_bound 500) (int_bound 3))
-    (fun (seed0, sched) ->
-      let spec = Spec.coordination ~n:5 in
-      let p = Compile.plan_exn ~spec ~theorem:Compile.T41 ~k:0 ~t:1 () in
-      let pool = Compile.Pool.create p in
-      let scheduler seed =
-        match sched with
-        | 0 -> Sim.Scheduler.fifo ()
-        | 1 -> Sim.Scheduler.lifo ()
-        | 2 -> Sim.Scheduler.round_robin ()
-        | _ -> Sim.Scheduler.random_seeded seed
-      in
-      List.for_all
-        (fun seed ->
-          let run procs =
-            Sim.Runner.run (Sim.Runner.config ~scheduler:(scheduler seed) procs)
-          in
-          let fresh =
-            run (Compile.processes p ~types:(Array.make 5 0) ~coin_seed:(seed * 7919) ~seed)
-          in
-          let pooled =
-            run
-              (Compile.Pool.processes pool ~types:(Array.make 5 0)
-                 ~coin_seed:(seed * 7919) ~seed)
-          in
-          String.equal (outcome_repr fresh) (outcome_repr pooled))
-        (List.init 5 (fun i -> seed0 + i)))
-
-let test_pool_with_wills_matches_fresh () =
-  (* the punishment/wills path through recycled engines: T44 with AH
-     wills, the same pool across ten sessions *)
-  let spec = Spec.pitfall_minimal ~n:5 ~k:1 in
-  let p = Compile.plan_exn ~spec ~theorem:Compile.T44 ~k:1 ~t:0 () in
-  Alcotest.(check bool) "pool carries its plan" true (Compile.Pool.plan_of (Compile.Pool.create p) == p);
-  let pool = Compile.Pool.create p in
-  for seed = 0 to 9 do
-    let mk procs =
-      Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs
-    in
-    let fresh =
-      Sim.Runner.run
-        (mk (Compile.processes p ~types:(Array.make 5 0) ~coin_seed:(seed * 7919) ~seed))
-    in
-    let pooled =
-      Sim.Runner.run
-        (mk
-           (Compile.Pool.processes pool ~types:(Array.make 5 0) ~coin_seed:(seed * 7919)
-              ~seed))
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d" seed)
-      (outcome_repr fresh) (outcome_repr pooled)
-  done
-
 let () =
   Alcotest.run "cheaptalk"
     [
@@ -303,8 +237,4 @@ let () =
       ( "approaches",
         [ Alcotest.test_case "agree without deadlock" `Quick test_approaches_agree_without_deadlock ] );
       ("privacy", [ Alcotest.test_case "recommendations hidden" `Quick test_recommendation_privacy_structure ]);
-      ( "pool",
-        Alcotest.test_case "wills through recycled engines" `Quick
-          test_pool_with_wills_matches_fresh
-        :: List.map QCheck_alcotest.to_alcotest [ prop_pool_processes_match_fresh ] );
     ]

@@ -1,8 +1,8 @@
 (* The transport abstraction + live backend (ISSUE 7).
 
    The headline contract: a live run — players hosted on effects
-   fibers, arbitration re-expressed over Runner.Driver hooks — is the
-   SAME pure function of the seed as a simulator run. Enforced here:
+   fibers, every decision made by Runner.Driver.decide — is the SAME
+   pure function of the seed as a simulator run. Checked here:
 
    - qcheck: randomly generated protocols produce byte-identical
      outcome reprs (termination, moves, accounting, deterministic
@@ -16,16 +16,17 @@
      live backend), late/duplicate attaches are rejected;
    - crash-mid-session conservation: sent = delivered + dropped holds
      when a live session is torn down externally, and fault accounting
-     matches the simulator per seed;
-   - Serve: drained outcomes are a pure function of each ticket's
-     request, invariant under batch size, backend and domain count;
+     matches the simulator per seed, and live sessions stepped in turn
+     on one domain each reproduce their solo run;
+   - the session engine (the path `ctmed serve` takes): every session's
+     outcome is unchanged by the backend, the Live in-flight window,
+     the shard count and the domain count;
    - direct-style fiber programs (Live.process_of) run on BOTH
      backends and reproduce each other byte-for-byte. *)
 
 module Backend = Transport.Backend
 module Live = Transport.Live
 module Session = Transport.Session
-module Serve = Transport.Serve
 module Diff = Transport.Differential
 module Runner = Sim.Runner
 module Scheduler = Sim.Scheduler
@@ -121,6 +122,74 @@ let prop_relaxed_identical =
           (random_protocol ~n:3 ~seed ())
       in
       String.equal (repr (Runner.run (cfg ()))) (repr (Live.run (cfg ()))))
+
+(* ------------------------------------------------------------------ *)
+(* Every branch of the decision loop on both backends, seed by seed,
+   with and without a fault plan: a scheduler that raises a non-fatal
+   exception, one that names an unknown id, a Stop_delivery from a
+   non-relaxed scheduler, a max_steps cutoff and a fuel watchdog. Each
+   branch must actually fire on some seed, so the comparison has teeth. *)
+
+let newest pending = T.Deliver (Sim.Pending_set.newest pending).T.id
+
+let test_loop_branches_identical () =
+  let faults =
+    Faults.make ~dup:0.15 ~corrupt:0.15 ~delay:0.2 ~crash:0.3 ~delay_decisions:12
+      ~crash_window:6 ()
+  in
+  let custom name f _seed = Scheduler.custom ~name ~relaxed:false f in
+  let branches =
+    [
+      ( "non-fatal exception",
+        custom "flaky" (fun ~step ~history:_ ~pending ->
+            if step mod 3 = 0 then failwith "flaky";
+            newest pending),
+        None,
+        None,
+        fun (m : Obs.Metrics.t) _ -> m.scheduler_exns > 0 );
+      ( "unknown id",
+        custom "bogus" (fun ~step ~history:_ ~pending ->
+            if step mod 2 = 0 then T.Deliver (-42) else newest pending),
+        None,
+        None,
+        fun m _ -> m.invalid_decisions > 0 );
+      ( "non-relaxed stop",
+        custom "stopper" (fun ~step ~history:_ ~pending ->
+            if step mod 4 = 1 then T.Stop_delivery else newest pending),
+        None,
+        None,
+        fun m _ -> m.invalid_decisions > 0 );
+      ("max_steps cutoff", Scheduler.random_seeded, Some 6, None, fun _ t -> t = T.Cutoff);
+      ("fuel watchdog", Scheduler.random_seeded, None, Some 6, fun m _ -> m.timed_out > 0);
+    ]
+  in
+  List.iter
+    (fun (name, scheduler, max_steps, fuel, fired) ->
+      List.iter
+        (fun faulted ->
+          let name = if faulted then name ^ " +faults" else name in
+          let hits = ref 0 in
+          for seed = 0 to 29 do
+            let cfg () =
+              let faults = if faulted then Some (Faults.Plan.make ~seed faults) else None in
+              let fuzz = if faulted then Some (fun ~src:_ ~dst:_ ~seq:_ m -> m + 1000) else None in
+              Runner.config ?faults ?fuzz ?max_steps ?fuel ~scheduler:(scheduler seed)
+                (random_protocol ~n:4 ~seed ())
+            in
+            let o_sim = Runner.run (cfg ()) and o_live = Live.run (cfg ()) in
+            let check what get =
+              Alcotest.(check string) (Printf.sprintf "%s seed %d: %s" name seed what)
+                (get o_sim) (get o_live)
+            in
+            check "repr" repr;
+            check "scheduler_exns" (fun o -> string_of_int o.T.metrics.scheduler_exns);
+            check "invalid_decisions" (fun o -> string_of_int o.T.metrics.invalid_decisions);
+            check "timed_out" (fun o -> string_of_int o.T.metrics.timed_out);
+            if fired o_sim.T.metrics o_sim.T.termination then incr hits
+          done;
+          Alcotest.(check bool) (name ^ ": branch fired") true (!hits > 0))
+        [ false; true ])
+    branches
 
 (* ------------------------------------------------------------------ *)
 (* Session-state recycling (DESIGN.md section 17): a batch of sessions
@@ -309,9 +378,10 @@ let test_crash_window_conservation_matches_sim () =
       (Obs.Metrics.delivered_total m + Obs.Metrics.dropped_total m)
   done
 
-let test_run_round_robin_matches_solo () =
-  (* interleaving sessions on one domain changes nothing: each session's
-     history equals its solo run *)
+let test_round_robin_matches_solo () =
+  (* interleaving sessions on one domain changes nothing: stepping live
+     sessions one decision each, in turn, leaves every session's history
+     equal to its solo run *)
   let mk seed () =
     Runner.config
       ~scheduler:(Scheduler.random_seeded seed)
@@ -319,12 +389,18 @@ let test_run_round_robin_matches_solo () =
   in
   let seeds = Array.init 7 (fun i -> 100 + (17 * i)) in
   let solo = Array.map (fun s -> repr (Live.run (mk s ()))) seeds in
-  let multiplexed =
-    Array.map repr (Live.run_round_robin (Array.map (fun s -> Live.start (mk s ())) seeds))
-  in
+  let sessions = Array.map (fun s -> Live.start (mk s ())) seeds in
+  let running = ref (Array.to_list sessions) in
+  while not (List.is_empty !running) do
+    running :=
+      List.filter (fun l -> match Live.step l with `Running -> true | `Done _ -> false) !running
+  done;
   Array.iteri
-    (fun i r -> Alcotest.(check string) (Printf.sprintf "session %d" i) solo.(i) r)
-    multiplexed
+    (fun i l ->
+      match Live.outcome l with
+      | Some o -> Alcotest.(check string) (Printf.sprintf "session %d" i) solo.(i) (repr o)
+      | None -> Alcotest.failf "session %d did not complete" i)
+    sessions
 
 (* ------------------------------------------------------------------ *)
 (* Session rendezvous semantics *)
@@ -437,64 +513,45 @@ let test_session_cancel_preempts_live_run () =
     waiters
 
 (* ------------------------------------------------------------------ *)
-(* Serve: the in-memory queue over the pool *)
-
-let serve_mk seed () =
-  Runner.config
-    ~scheduler:(Scheduler.random_seeded seed)
-    (random_protocol ~n:4 ~seed ())
-
-let drain_reprs ~backend ~batch ~domains ~sessions =
-  let server = Serve.create ~backend ~batch () in
-  let tickets = Array.init sessions (fun seed -> Serve.submit server (serve_mk seed)) in
-  let served = Pool.with_pool ~domains (fun pool -> Serve.drain ~pool server) in
-  Alcotest.(check int) "all served" sessions served;
-  Alcotest.(check int) "served count" sessions (Serve.served server);
-  Alcotest.(check int) "queue drained" 0 (Serve.pending server);
-  Array.map
-    (fun t ->
-      match Serve.result server t with
-      | Some o -> repr o
-      | None -> Alcotest.failf "ticket %d lost" t)
-    tickets
+(* Serving: `ctmed serve` runs every session through Engine.run *)
 
 let test_serve_deterministic_across_shapes () =
-  let reference = Array.map (fun seed -> repr (Runner.run (serve_mk seed ()))) (Array.init 13 Fun.id) in
+  (* with the full outcome repr as the profile, every served session's
+     trace is a key of the profile table, so the table must list exactly
+     the sequential Runner.run of each seed, whatever the backend, the
+     Live in-flight window (serve --batch), the shard count and -j *)
+  let sessions = 13 in
+  let make ~seed =
+    Runner.config ~scheduler:(Scheduler.random_seeded seed)
+      (random_protocol ~n:4 ~seed ())
+  in
+  let profile = Diff.outcome_repr ~show in
+  let solo = List.init sessions (fun seed -> repr (Runner.run (make ~seed))) in
+  let reference = List.map (fun r -> (r, 1)) (List.sort_uniq String.compare solo) in
+  Alcotest.(check int) "one distinct repr per seed" sessions (List.length reference);
+  let reference_digest =
+    Engine.det_repr (Engine.run ~recycle:false ~sessions ~make ~profile ())
+  in
   List.iter
-    (fun (backend, batch, domains) ->
-      let got = drain_reprs ~backend ~batch ~domains ~sessions:13 in
-      Array.iteri
-        (fun i r ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s batch=%d j=%d ticket %d"
-               (Backend.to_string backend) batch domains i)
-            reference.(i) r)
-        got)
-    [
-      (Backend.Live, 1, 1);
-      (Backend.Live, 4, 2);
-      (Backend.Live, 13, 4);
-      (Backend.Sim, 3, 2);
-    ]
-
-let test_serve_redrain_and_validation () =
-  (match Serve.create ~batch:0 () with
-  | _ -> Alcotest.fail "batch=0 accepted"
-  | exception Invalid_argument _ -> ());
-  let server = Serve.create ~backend:Backend.Live ~batch:2 () in
-  Alcotest.(check int) "empty drain" 0
-    (Pool.with_pool ~domains:2 (fun pool -> Serve.drain ~pool server));
-  let t1 = Serve.submit server (serve_mk 3) in
-  ignore (Pool.with_pool ~domains:2 (fun pool -> Serve.drain ~pool server));
-  let t2 = Serve.submit server (serve_mk 4) in
-  ignore (Pool.with_pool ~domains:2 (fun pool -> Serve.drain ~pool server));
-  (* tickets from both drains resolve; results are per-request pure *)
-  (match (Serve.result server t1, Serve.result server t2) with
-  | Some o1, Some o2 ->
-      Alcotest.(check string) "t1" (repr (Runner.run (serve_mk 3 ()))) (repr o1);
-      Alcotest.(check string) "t2" (repr (Runner.run (serve_mk 4 ()))) (repr o2)
-  | _ -> Alcotest.fail "ticket lost across drains");
-  Alcotest.(check int) "served total" 2 (Serve.served server)
+    (fun (backend, inflight, shards, domains) ->
+      let stats =
+        Pool.with_pool ~domains (fun pool ->
+            Engine.run ~backend ~shards ~inflight ~pool ~sessions ~make ~profile ())
+      in
+      let shape =
+        Printf.sprintf "%s batch=%d shards=%d j=%d" (Backend.to_string backend) inflight
+          shards domains
+      in
+      Alcotest.(check (list (pair string int))) (shape ^ ": per-seed outcomes") reference
+        stats.Engine.profiles;
+      Alcotest.(check string) (shape ^ ": digest") reference_digest (Engine.det_repr stats))
+    ((Backend.Sim, 16, 3, 2)
+    :: List.concat_map
+         (fun inflight ->
+           List.concat_map
+             (fun shards -> List.map (fun j -> (Backend.Live, inflight, shards, j)) [ 1; 2 ])
+             [ 1; 3 ])
+         [ 1; 4; 13 ])
 
 (* ------------------------------------------------------------------ *)
 (* Direct-style fiber programs on both backends *)
@@ -575,8 +632,8 @@ let test_engine_invariant_under_shape () =
     ]
 
 let test_engine_recycle_off_identical () =
-  (* --no-recycle escape hatch: the recycled engine (the default) and a
-     fresh-state engine agree byte-for-byte at every shard shape the
+  (* ~recycle:false escape hatch: the recycled engine (the default) and
+     a fresh-state engine agree byte-for-byte at every shard shape the
      acceptance sweep names — shards {1,2,4,13}, -j {1,4}, both
      backends *)
   let sessions = 400 in
@@ -656,6 +713,8 @@ let () =
             test_differential_families;
           Alcotest.test_case "report fields + detects divergence" `Quick
             test_differential_report_fields;
+          Alcotest.test_case "every loop branch: sim repr = live repr" `Quick
+            test_loop_branches_identical;
         ]
         @ qsuite
             [
@@ -674,7 +733,7 @@ let () =
           Alcotest.test_case "crash windows match sim per seed" `Quick
             test_crash_window_conservation_matches_sim;
           Alcotest.test_case "round-robin multiplexing = solo runs" `Quick
-            test_run_round_robin_matches_solo;
+            test_round_robin_matches_solo;
         ] );
       ( "rendezvous",
         [
@@ -690,8 +749,6 @@ let () =
         [
           Alcotest.test_case "deterministic across batch/backend/domains" `Quick
             test_serve_deterministic_across_shapes;
-          Alcotest.test_case "re-drain and validation" `Quick
-            test_serve_redrain_and_validation;
         ] );
       ( "fiber programs",
         [
