@@ -16,15 +16,21 @@ par-check:
 # Static + dynamic analysis: typecheck everything, keep polymorphic
 # compare/hash off the hot paths (DESIGN.md section 17), keep one
 # decision loop (lib/transport and lib/engine never call a scheduler's
-# choose; they decide through Runner.Driver.decide, DESIGN.md section 14),
-# run the analyzers over the bundled examples (non-zero exit on error
-# findings), and the analysis test suite (race detector vs Sim.Explore
-# ground truth).
+# choose; they run sessions through Runner.run, DESIGN.md section 14),
+# keep lib/ timing on the monotonic clock (no Unix.gettimeofday: a clock
+# step would corrupt a measured duration or a watchdog), run the
+# analyzers over the bundled examples (non-zero exit on error findings),
+# and the analysis test suite (race detector vs Sim.Explore ground
+# truth).
 lint:
 	dune build @check
 	scripts/poly_compare_check.sh
 	@if grep -rnE --include='*.ml' '\.choose\b|\bchoose[[:space:]]+~' lib/transport lib/engine; then \
-	  echo "lint: lib/transport or lib/engine calls a scheduler's choose (decide through Runner.Driver.decide)" >&2; \
+	  echo "lint: lib/transport or lib/engine calls a scheduler's choose (run sessions through Runner.run)" >&2; \
+	  exit 1; \
+	fi
+	@if grep -rn --include='*.ml' 'Unix\.gettimeofday' lib; then \
+	  echo "lint: lib/ reads Unix.gettimeofday (time with the monotonic Obs.Metrics.now / Runner.now)" >&2; \
 	  exit 1; \
 	fi
 	dune exec bin/ctmed.exe -- lint
@@ -33,11 +39,10 @@ lint:
 # Differential live-vs-sim check (DESIGN.md section 14): the transport
 # test suite (per-seed byte-identity of the effects/domains backend
 # against the discrete-event simulator across the toy / E1-small / chaos
-# families, every decision-loop branch, sessions, the session engine),
-# then the serve smoke — the engine digest against a sequential
-# unsharded non-recycled sim run, every served seed run on sim and live
-# and compared byte-for-byte, plus the cross-domain rendezvous and
-# preemptive-cancel checks.
+# families, every decision-loop branch, teardown of blocked fibers, the
+# session engine), then the serve smoke — the engine digest against a
+# sequential unsharded non-recycled sim run, and every served seed run
+# on sim and live and compared byte-for-byte.
 live-check:
 	dune exec test/test_transport.exe
 	dune exec bin/ctmed.exe -- serve --smoke
@@ -72,9 +77,10 @@ throughput-check:
 	dune exec bin/ctmed.exe -- serve --smoke --shards 4 --jobs 2
 
 # Durability check (DESIGN.md section 16): journal a run, replay it
-# (including after tearing the final record off the store), then
-# SIGKILL a checkpointed `serve --journal` mid-flight, resume it, and
-# diff the deterministic digest against an uninterrupted run.
+# (including after tearing the final record off the store), then, on
+# each backend, SIGKILL a checkpointed `serve --journal` mid-flight,
+# resume it, and diff the deterministic digest against an uninterrupted
+# run.
 store-check:
 	dune build bin/ctmed.exe
 	scripts/store_check.sh

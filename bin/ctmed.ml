@@ -696,9 +696,9 @@ let check_cmd =
 (* Every session runs through the sharded session engine: seeds
    0..N-1 are split into shard ranges over the pool and each session
    compiles a fresh cheap-talk game from (spec, seed), so the digest is a
-   pure function of the seeds whatever the shards, -j or in-flight
-   window. Completed sessions fold into bounded-memory aggregates as
-   they finish, which is the shape that scales to millions of sessions. *)
+   pure function of the seeds whatever the shards or -j. Completed
+   sessions fold into bounded-memory aggregates as they finish, which is
+   the shape that scales to millions of sessions. *)
 let serve_cmd =
   let doc =
     "Serve mediator-game sessions through the sharded session engine (live backend by \
@@ -711,8 +711,7 @@ let serve_cmd =
           ~doc:
             "self-check: serve a small batch, verify the digest against a sequential \
              unsharded non-recycled sim run and every served seed byte-identical on sim \
-             and live, and exercise the session rendezvous (attach/convene/cancel) \
-             across domains")
+             and live")
   in
   let sessions_arg =
     Arg.(
@@ -730,12 +729,6 @@ let serve_cmd =
       value
       & opt int (Domain.recommended_domain_count ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"domains running shards in parallel")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"live in-flight window: sessions multiplexed per shard")
   in
   let backend_arg =
     Arg.(value & opt string "live" & info [ "backend" ] ~docv:"B" ~doc:"sim or live")
@@ -788,68 +781,8 @@ let serve_cmd =
     in
     Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs
   in
-  (* the rendezvous part of the smoke: players attach from their own
-     domains, the convener runs the game live, everyone reads the same
-     outcome; a second session is cancelled mid-gather and must release
-     every waiter with `Cancelled. *)
-  let session_smoke plan =
-    let n = plan.Cheaptalk.Compile.spec.Mediator.Spec.game.Games.Game.n in
-    let procs =
-      Cheaptalk.Compile.processes plan ~types:(Array.make n 0) ~coin_seed:(9 * 7919)
-        ~seed:9
-    in
-    let s = Transport.Session.create ~n in
-    let waiters =
-      Array.init n (fun pid ->
-          Domain.spawn (fun () -> Transport.Session.attach s ~pid procs.(pid)))
-    in
-    let convened =
-      Transport.Session.convene ~backend:Transport.Backend.Live s
-        ~make_config:(fun ps ->
-          Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded 9) ps)
-    in
-    let views = Array.map Domain.join waiters in
-    let rendezvous_ok =
-      match convened with
-      | Ok o ->
-          let repr = Transport.Differential.outcome_repr ~show o in
-          Array.for_all
-            (function
-              | Ok o' ->
-                  String.equal repr (Transport.Differential.outcome_repr ~show o')
-              | Error _ -> false)
-            views
-      | Error _ -> false
-    in
-    let cancelled = Transport.Session.create ~n in
-    let blocked =
-      Array.init 2 (fun pid ->
-          Domain.spawn (fun () ->
-              Transport.Session.attach cancelled ~pid
-                (Cheaptalk.Compile.processes plan ~types:(Array.make n 0)
-                   ~coin_seed:(11 * 7919) ~seed:11).(pid)))
-    in
-    (* let the attachers block before preempting the rendezvous *)
-    while Transport.Session.attached cancelled < 2 do
-      Domain.cpu_relax ()
-    done;
-    Transport.Session.cancel cancelled;
-    let cancel_ok =
-      Array.for_all
-        (fun d -> match Domain.join d with Error `Cancelled -> true | _ -> false)
-        blocked
-      &&
-      match
-        Transport.Session.convene cancelled ~make_config:(fun ps ->
-            Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded 11) ps)
-      with
-      | Error `Cancelled -> true
-      | _ -> false
-    in
-    (rendezvous_ok, cancel_ok)
-  in
-  let serve ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs ~smoke ~journal
-      ~resume ~checkpoint_every =
+  let serve ~plan ~spec_name ~backend ~sessions ~shards ~jobs ~smoke ~journal ~resume
+      ~checkpoint_every =
     let make = mk_config plan in
     let profile = Transport.Differential.profile ~show in
     (* graceful shutdown for durable runs: first SIGTERM/SIGINT flips
@@ -865,7 +798,7 @@ let serve_cmd =
     let meta = Obs.Json.Obj [ ("spec", Obs.Json.String spec_name) ] in
     match
       Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-          Engine.run ~backend ~shards ~inflight ~pool ?journal ~checkpoint_every ~resume
+          Engine.run ~backend ~shards ~pool ?journal ~checkpoint_every ~resume
             ~kill_switch:(fun () -> Atomic.get stop)
             ~on_warning:(fun w -> Printf.eprintf "ctmed serve: warning: %s\n%!" w)
             ~meta ~sessions ~make ~profile ())
@@ -875,11 +808,10 @@ let serve_cmd =
           (Option.get journal);
         exit 0
     | stats ->
-        Printf.printf
-          "served %d/%d sessions (%s backend, %d shards, inflight %d, -j %d) for %s\n"
+        Printf.printf "served %d/%d sessions (%s backend, %d shards, -j %d) for %s\n"
           stats.Engine.completed sessions
           (Transport.Backend.to_string backend)
-          shards inflight jobs spec_name;
+          shards jobs spec_name;
         List.iter
           (fun (p, c) -> Printf.printf "  %6d  %s\n" c p)
           stats.Engine.profiles;
@@ -902,22 +834,18 @@ let serve_cmd =
               (fun seed -> make ~seed)
           in
           let mismatches = List.length diff.Transport.Differential.mismatches in
-          let rendezvous_ok, cancel_ok = session_smoke plan in
           Printf.printf
             "smoke: aggregate %s sequential unsharded non-recycled sim run · %d/%d seeds \
-             byte-identical sim vs live · rendezvous %s · cancel %s\n"
+             byte-identical sim vs live\n"
             (if identical then "byte-identical to" else "DIVERGED from")
-            (sessions - mismatches) sessions
-            (if rendezvous_ok then "ok" else "FAIL")
-            (if cancel_ok then "ok" else "FAIL");
-          if not (identical && Transport.Differential.ok diff && rendezvous_ok && cancel_ok)
-          then exit 1
+            (sessions - mismatches) sessions;
+          if not (identical && Transport.Differential.ok diff) then exit 1
         end
   in
-  let run smoke sessions spec_name jobs batch backend_name shards journal resume_dir
+  let run smoke sessions spec_name jobs backend_name shards journal resume_dir
       checkpoint_every =
-    if jobs < 1 || batch < 1 || sessions < 1 then begin
-      Printf.eprintf "ctmed serve: --jobs/--batch/--sessions must be >= 1\n";
+    if jobs < 1 || sessions < 1 then begin
+      Printf.eprintf "ctmed serve: --jobs/--sessions must be >= 1\n";
       exit 2
     end;
     if (match shards with Some s -> s < 1 | None -> false) then begin
@@ -941,12 +869,11 @@ let serve_cmd =
     in
     (* a resume takes every deterministic parameter from the journal's
        manifest — only -j (environmental) still comes from the CLI *)
-    let spec_name, backend, sessions, shards, inflight, journal, resume, checkpoint_every
-        =
+    let spec_name, backend, sessions, shards, journal, resume, checkpoint_every =
       match resume_dir with
       | None ->
           let shards = Option.value shards ~default:jobs in
-          (spec_name, backend, sessions, shards, batch, journal, false, checkpoint_every)
+          (spec_name, backend, sessions, shards, journal, false, checkpoint_every)
       | Some dir ->
           let manifest =
             try Engine.load_manifest ~dir
@@ -990,7 +917,6 @@ let serve_cmd =
             backend,
             field "sessions" Obs.Json.to_int_opt,
             field "shards" Obs.Json.to_int_opt,
-            field "inflight" Obs.Json.to_int_opt,
             Some dir,
             true,
             field "checkpoint_every" Obs.Json.to_int_opt )
@@ -1006,13 +932,13 @@ let serve_cmd =
             exit 2
         | plan ->
             let sessions = if smoke then min sessions 8 else sessions in
-            serve ~plan ~spec_name ~backend ~sessions ~shards ~inflight ~jobs ~smoke ~journal
-              ~resume ~checkpoint_every)
+            serve ~plan ~spec_name ~backend ~sessions ~shards ~jobs ~smoke ~journal ~resume
+              ~checkpoint_every)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ smoke_arg $ sessions_arg $ spec_arg $ jobs_arg $ batch_arg
-      $ backend_arg $ shards_arg $ journal_arg $ resume_arg $ checkpoint_arg)
+      const run $ smoke_arg $ sessions_arg $ spec_arg $ jobs_arg $ backend_arg
+      $ shards_arg $ journal_arg $ resume_arg $ checkpoint_arg)
 
 (* --- replay --- *)
 

@@ -27,7 +27,7 @@ type stats = {
    so shard memory is O(1) in the number of sessions. All fields are
    insertion-order independent once canonicalised (the profile table is
    key-sorted at merge), which is what makes the merged result
-   invariant under shard count, pool size and in-flight interleaving.
+   invariant under shard count and pool size.
    [alloc_words] is environmental (GC words allocated while the shard
    executed on its domain) and excluded from det_repr like wall-clock. *)
 type acc = {
@@ -57,63 +57,26 @@ let note acc ~profile ~t0 (o : 'a Types.outcome) =
   let n = match Stbl.find_opt acc.profiles p with Some n -> n | None -> 0 in
   Stbl.replace acc.profiles p (n + 1)
 
-(* Sim backend: each session is a synchronous Runner.run. With
-   [recycle], one Runner.Slot per shard carries the driver's grown
-   arrays from session to session, so setup stops allocating after the
-   first seed (the recycled det_repr is byte-identical — see the
-   differential suite in test_engine). *)
-let sim_shard ~recycle ~make ~profile ~lo ~hi acc =
+(* A shard's session loop. Each session is one synchronous run to
+   completion, on the run function picked here, once per shard:
+   Runner.run, or Live.run (Runner.run over fiber-hosted processes).
+   With [recycle], the shard's one Runner.Slot carries the driver's
+   grown arrays from session to session, so setup stops allocating
+   after the first seed (the recycled det_repr is byte-identical — see
+   the engine suite in test_transport). Built inside the shard task, so
+   the slot never crosses domains. *)
+let shard_runner ~backend ~recycle ~make ~profile =
   let slot = if recycle then Some (Runner.Slot.create ()) else None in
-  for seed = lo to hi - 1 do
-    let t0 = Runner.now () in
-    note acc ~profile ~t0 (Runner.run ?slot (make ~seed))
-  done
-
-(* Live backend: an in-flight window of fiber sessions multiplexed on
-   this shard's domain, stepped round-robin. Session state is
-   struct-of-arrays: parallel slot arrays for the live handle and the
-   start timestamp. Sessions share no state, so the interleaving cannot
-   change any session's outcome — only latency. With [recycle] each
-   window entry owns one Runner.Slot, refilled only when its previous
-   session has completed. *)
-let live_shard ~recycle ~inflight ~make ~profile ~lo ~hi acc =
-  let window = min inflight (max 0 (hi - lo)) in
-  if window > 0 then begin
-    let handles = Array.make window None in
-    let t0s = Array.make window 0.0 in
-    let slots =
-      if recycle then Some (Array.init window (fun _ -> Runner.Slot.create ()))
-      else None
-    in
-    let next = ref lo in
-    let active = ref 0 in
-    let fill slot =
-      if !next < hi then begin
-        t0s.(slot) <- Runner.now ();
-        let rslot = match slots with Some a -> Some a.(slot) | None -> None in
-        handles.(slot) <- Some (Transport.Live.start ?slot:rslot (make ~seed:!next));
-        incr next;
-        incr active
-      end
-    in
-    for s = 0 to window - 1 do
-      fill s
-    done;
-    while !active > 0 do
-      for s = 0 to window - 1 do
-        match handles.(s) with
-        | None -> ()
-        | Some l -> (
-            match Transport.Live.step l with
-            | `Running -> ()
-            | `Done o ->
-                handles.(s) <- None;
-                decr active;
-                note acc ~profile ~t0:t0s.(s) o;
-                fill s)
-      done
+  let run =
+    match backend with
+    | Transport.Backend.Sim -> Runner.run ?slot
+    | Transport.Backend.Live -> Transport.Live.run ?slot
+  in
+  fun ~lo ~hi acc ->
+    for seed = lo to hi - 1 do
+      let t0 = Runner.now () in
+      note acc ~profile ~t0 (run (make ~seed))
     done
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Crash-restart checkpointing (DESIGN.md section 16). A journal
@@ -192,7 +155,7 @@ let load_manifest ~dir =
   | exception Obs.Json.Parse_error m -> failwith ("unrecoverable journal: " ^ m)
   | exception Sys_error m -> failwith ("unrecoverable journal: " ^ m)
 
-let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 16)
+let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 1)
     ?(recycle = true) ?(pool = Parallel.Pool.sequential) ?journal
     ?(checkpoint_every = 1024) ?(resume = false) ?(kill_switch = fun () -> false)
     ?(on_warning = fun _ -> ()) ?(meta = Obs.Json.Null) ~sessions ~make ~profile () =
@@ -235,18 +198,12 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 16)
                ("sessions", Obs.Json.Int sessions);
                ("shards", Obs.Json.Int shards);
                ("backend", Obs.Json.String (backend_name backend));
-               ("inflight", Obs.Json.Int inflight);
                ("checkpoint_every", Obs.Json.Int checkpoint_every);
                ("workload", meta);
              ])
       end);
   let t0 = Runner.now () in
   let per = if shards = 0 then 0 else (sessions + shards - 1) / shards in
-  let run_range ~lo ~hi acc =
-    match backend with
-    | Transport.Backend.Sim -> sim_shard ~recycle ~make ~profile ~lo ~hi acc
-    | Transport.Backend.Live -> live_shard ~recycle ~inflight ~make ~profile ~lo ~hi acc
-  in
   (* Allocation budget: GC word deltas around one shard's whole
      execution. A shard task runs wholly on one domain and quick_stat's
      allocation counters are domain-local in OCaml 5, so the delta is
@@ -268,6 +225,7 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 16)
   let shard_accs =
     Parallel.Pool.map_seeded ~chunk:1 ~pool ~seeds:(0, shards) (fun shard ->
         let lo = min sessions (shard * per) and hi = min sessions ((shard + 1) * per) in
+        let run_range = shard_runner ~backend ~recycle ~make ~profile in
         match journal with
         | None ->
             let acc = acc_create () in
@@ -286,9 +244,9 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 16)
                     (acc_create (), lo)
               else (acc_create (), lo)
             in
-            (* Chunked execution: the live backend's in-flight window
-               drains completely at each chunk boundary, so a checkpoint
-               always describes a seed-prefix of the shard. *)
+            (* Chunked execution: sessions run one at a time in seed
+               order, so a checkpoint always describes a seed-prefix of
+               the shard. *)
             let next = ref start in
             let stop = ref false in
             while !next < hi && not !stop do

@@ -14,21 +14,25 @@
     - shard accumulators are merged in shard order on the submitting
       domain.
 
-    {b Steady-state allocation.} Sessions are built with
-    [Runner.config ~record:false] by workload constructors meant for
-    this engine (see {!Toy}): delivery then allocates no trace/pattern
-    nodes, and the per-completion fold allocates nothing proportional
-    to the session's message count. The in-flight window of the live
-    backend keeps its session state in struct-of-arrays form (parallel
-    [handles]/[start-times] arrays indexed by slot).
+    Each shard runs its sessions one at a time, in seed order, on the
+    run function picked once per shard: {!Sim.Runner.run} on Sim,
+    {!Transport.Live.run} ({!Sim.Runner.run} over fiber-hosted
+    processes) on Live.
+
+    {b Steady-state allocation.} The per-completion fold allocates
+    nothing proportional to the session's message count. A workload
+    built with [Runner.config ~record:false] (only {!Toy} is) also
+    allocates no trace/pattern nodes per delivery; [ctmed serve] and
+    the served-session benchmark build compiled sessions with the
+    default [record:true].
 
     {b Determinism contract.} Everything in {!det_repr} is a pure
     function of (sessions, the workload, the per-session seeds): every
     accumulator is insertion-order independent (sums, histograms,
     key-sorted count tables), so the result is byte-identical at any
-    [shards], any pool size [-j], any [inflight] window, and across
-    the Sim/Live backends. Wall-clock, throughput rates and latency
-    percentiles are environmental and live outside {!det_repr}. *)
+    [shards], any pool size [-j] and across the Sim/Live backends.
+    Wall-clock, throughput rates and latency percentiles are
+    environmental and live outside {!det_repr}. *)
 
 module Toy = Toy
 (** The reference toy workload (re-exported: the library root shadows
@@ -76,16 +80,15 @@ val run :
   stats
 (** Run [sessions] sessions with seeds [0 .. sessions-1]. [make] must
     be a pure function of the seed (the usual trial contract).
-    Defaults: [backend = Sim], [shards = 1], [inflight = 16] (live
-    in-flight window per shard; ignored by the Sim backend, which runs
-    each session to completion), [recycle = true],
-    [pool = Parallel.Pool.sequential].
+    Defaults: [backend = Sim], [shards = 1], [recycle = true],
+    [pool = Parallel.Pool.sequential]. [inflight] is accepted for
+    source compatibility and validated, and has no other effect:
+    sessions run one at a time on both backends.
 
     {b Session recycling} (DESIGN.md §17). With [recycle] (the default)
-    each shard reuses driver state across its sessions via
-    {!Sim.Runner.Slot} — one slot per shard on the Sim backend, one per
-    in-flight window entry on Live — so per-session setup stops
-    allocating after each slot's first session. Observationally
+    each shard reuses driver state across its sessions via one
+    {!Sim.Runner.Slot}, on both backends, so per-session setup stops
+    allocating after the shard's first session. Observationally
     invisible: {!det_repr} is byte-identical with recycling on or off
     (the qcheck differential suite and [ctmed serve --smoke] both
     enforce this); [~recycle:false] is the escape hatch that forces
@@ -96,9 +99,9 @@ val run :
     [checkpoint_every] seeds (default 1024) and after every chunk
     atomically replaces its [shard-NNNN.json] file — the complete
     accumulator state plus the next seed — while [manifest.json] pins
-    the run's deterministic parameters. The live backend drains its
-    in-flight window at each chunk boundary, so a checkpoint always
-    describes a seed-prefix of the shard. A run restarted with
+    the run's deterministic parameters (sessions, shards, backend).
+    Sessions run in seed order, so a checkpoint always describes a
+    seed-prefix of the shard. A run restarted with
     [~resume:true] (same sessions/shards/backend) reloads every shard
     file and continues from the persisted seeds; because within-shard
     fold order is seed order either way, the resumed {!det_repr} is

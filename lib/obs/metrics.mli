@@ -20,6 +20,11 @@
     signalling channel). Runs without a mediator count everything as
     [p2p]/[self]. Start signals are not messages and are never counted. *)
 
+val now : unit -> float
+(** Monotonic clock ([CLOCK_MONOTONIC]), in seconds from an arbitrary
+    origin. {!Builder} stamps [wall_clock] with it, so a system clock
+    step cannot corrupt a run's measured duration. *)
+
 type counts = { p2p : int; p2m : int; m2p : int; self : int }
 
 val counts_zero : counts

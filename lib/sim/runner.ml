@@ -15,10 +15,9 @@ type ('m, 'a) config = {
 
 (* Monotonic wall clock for watchdogs and throughput measurement: a
    system clock step (NTP slew, manual set) must never spuriously fire
-   a wall_limit nor starve it forever, so gettimeofday is out. OCaml's
-   Unix library has no clock_gettime binding; monotonic_stubs.c
-   provides CLOCK_MONOTONIC directly. *)
-external now : unit -> float = "ctmed_monotonic_now"
+   a wall_limit nor starve it forever. The same clock stamps each run's
+   metrics wall_clock. *)
+let now = Obs.Metrics.now
 
 let config ?mediator ?max_steps ?starvation_bound ?faults ?fuzz ?fuel ?wall_limit
     ?(record = true) ~scheduler processes =
@@ -478,9 +477,7 @@ let starving c ~bound =
 let outcome_of c termination =
   {
     (* copies: an outcome must stay immutable even when the driver that
-       produced it keeps evolving (Step forks, the live backend's
-       cancel-then-inspect path) — returning the live arrays was a latent
-       aliasing bug the transport extraction surfaced *)
+       produced it keeps evolving (Step forks) *)
     moves = Array.copy c.moves;
     termination;
     messages_sent = c.messages_sent;
@@ -566,11 +563,11 @@ let replay_fail fmt = Printf.ksprintf (fun s -> raise (Replay_mismatch s)) fmt
 (* ------------------------------------------------------------------ *)
 (* The decision loop. A driver is one run in flight: its config, its
    core, the wall-limit origin and the journal hook. [decide] is the only
-   place a scheduler is consulted natively; [run], [resume] (past its
-   scripted prefix) and the live backend's step all call it, so every
-   backend makes the same decisions by construction. It builds no
-   closure per decision, and journal entries only when a hook is
-   present. *)
+   place a scheduler is consulted natively; [run] and [resume] (past its
+   scripted prefix) call it, and the live backend is [run] over
+   fiber-hosted processes, so every backend makes the same decisions by
+   construction. It builds no closure per decision, and journal entries
+   only when a hook is present. *)
 
 type ('m, 'a) driver = {
   cfg : ('m, 'a) config;
@@ -965,24 +962,4 @@ module Step = struct
     if Array.length processes <> c.n then
       invalid_arg "Runner.Step.clone: processes array length changed";
     clone_core c ~processes
-end
-
-(* ------------------------------------------------------------------ *)
-(* Driver: the decision loop as a value, for a caller that hosts the
-   processes itself and wants the decisions one at a time. *)
-
-module Driver = struct
-  type ('m, 'a) t = ('m, 'a) driver
-
-  let create ?slot (cfg : ('m, 'a) config) =
-    cfg.scheduler.Scheduler.reset ();
-    make_driver ?slot cfg
-
-  let decide = decide
-
-  let cancel d =
-    time_out d.c;
-    outcome_of d.c Timed_out
-
-  let outcome d termination = outcome_of d.c termination
 end

@@ -24,10 +24,11 @@
     faulted runs keep the byte-identity-at-any-[-j] contract. *)
 
 val now : unit -> float
-(** Monotonic clock ([Unix.CLOCK_MONOTONIC]), in seconds from an
-    arbitrary origin. All wall-limit watchdogs and throughput timing
-    use this, never [gettimeofday]: a system clock step must not
-    spuriously fire a watchdog or starve it forever. *)
+(** Monotonic clock ([CLOCK_MONOTONIC]), in seconds from an arbitrary
+    origin: {!Obs.Metrics.now}. All wall-limit watchdogs, throughput
+    timing and each run's [metrics.wall_clock] use it, never
+    [gettimeofday]: a system clock step must not spuriously fire a
+    watchdog, starve it forever or corrupt a latency. *)
 
 type ('m, 'a) config = {
   processes : ('m, 'a) Types.process array;
@@ -84,9 +85,9 @@ val config :
     millions of seeds (DESIGN.md §17). Recycling is {e observationally
     invisible}: a [run ~slot] outcome — [det_repr], trace, every
     deterministic metric — is byte-identical to the same config run
-    fresh. A slot is single-threaded state: one slot per domain (or per
-    in-flight session), never shared. When the process count changes the
-    slot falls back to a fresh core automatically. *)
+    fresh. A slot is single-threaded state carried by one run at a time:
+    one slot per domain, never shared. When the process count changes
+    the slot falls back to a fresh core automatically. *)
 module Slot : sig
   type ('m, 'a) t
 
@@ -273,41 +274,4 @@ module Step : sig
       [Analysis.Mc.instance]). Pending ids, seqs and arrival order are
       preserved, so delivering the same ids in the same order in both
       forks yields identical traces. *)
-end
-
-(** The decision loop as a value: {!run}'s loop, one decision at a time,
-    for a caller that hosts the processes itself. {!run}, {!resume}
-    (past its journal prefix) and the live backend ([Transport.Live])
-    all decide through {!Driver.decide}, so a live history is {!run}'s
-    history by construction. Every decision is a pure function of the
-    calls made so far (plus the fault plan's seed), never of wall-clock
-    or domain placement — except the [wall_limit] watchdog. *)
-module Driver : sig
-  type ('m, 'a) t
-
-  val create : ?slot:('m, 'a) Slot.t -> ('m, 'a) config -> ('m, 'a) t
-  (** {!run}'s preamble: reset the scheduler, build the driver state
-      over the config's processes (recycling [slot]'s parked storage,
-      as [run ~slot] does), enqueue every start signal and start the
-      wall-limit clock. The outcome's [metrics.wall_clock] counts from
-      here. *)
-
-  val decide : ('m, 'a) t -> Types.termination option
-  (** One decision of {!run}'s loop: the pending-empty and [max_steps]
-      checks, the fuel/wall watchdog, the decision tick (announcing
-      crash windows), the fairness override, the scheduler call (fatal
-      exceptions re-raise, others fall back to oldest-deliverable
-      delivery), the fault-plane veto and the relaxed [Stop_delivery].
-      [None] while the run goes on; [Some t] once it has ended as [t],
-      with any drops already done. Builds no closures per call. Do not
-      call again after [Some]. *)
-
-  val cancel : ('m, 'a) t -> 'a Types.outcome
-  (** End the run from outside, as the watchdog would: complete any
-      partially delivered mediator batch, drop the rest (conservation
-      holds), count it timed out and return the [Timed_out] outcome. *)
-
-  val outcome : ('m, 'a) t -> Types.termination -> 'a Types.outcome
-  (** Snapshot the driver state as a finished outcome ([moves]/[halted]
-      are copies). *)
 end

@@ -6,7 +6,7 @@
     The determinism contract is backend-independent — for any config
     whose [wall_limit] is unset, both backends produce byte-identical
     outcomes, traces and deterministic metrics on the same seed, since
-    both decide through {!Sim.Runner.Driver.decide}; the
+    {!Live.run} is {!Sim.Runner.run} over fiber-hosted processes; the
     {!Differential} harness checks it. *)
 
 type t = Sim | Live

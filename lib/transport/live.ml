@@ -1,9 +1,8 @@
-(* The live backend. Players are effects fibers; every delivery decision
-   is Runner.Driver.decide, the simulator's own loop, so a live history
-   is the simulator's history by construction. *)
+(* The live backend. Players are effects fibers; a live run is
+   Runner.run over the fiber-hosted processes, the simulator's own loop,
+   so a live history is the simulator's history by construction. *)
 
 module Runner = Sim.Runner
-module Driver = Sim.Runner.Driver
 module Types = Sim.Types
 
 exception Cancelled
@@ -85,15 +84,16 @@ let host fb will =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A live session: Runner's decision loop + one fiber per player. *)
+(* A live run: Runner.run over one fiber per player, then every fiber
+   still blocked is cancelled. A direct-style program (process_of) runs
+   on a fiber of its own, nested inside its host's, which cancelling the
+   host cannot reach: when started inside a live run it registers its
+   own teardown in [nested]. *)
 
-type ('m, 'a) t = {
-  d : ('m, 'a) Driver.t;
-  fibers : ('m, 'a) fiber array;
-  mutable result : 'a Types.outcome option;
-}
+let nested : (unit -> unit) list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let start ?slot (cfg : ('m, 'a) Runner.config) =
+let run ?slot (cfg : ('m, 'a) Runner.config) =
   let fibers = Array.map (fun _ -> make_fiber ()) cfg.Runner.processes in
   let hosted =
     Array.mapi
@@ -103,29 +103,15 @@ let start ?slot (cfg : ('m, 'a) Runner.config) =
         host fb p.Types.will)
       cfg.Runner.processes
   in
-  { d = Driver.create ?slot { cfg with Runner.processes = hosted }; fibers; result = None }
-
-let finish t o =
-  Array.iter cancel_fiber t.fibers;
-  t.result <- Some o;
-  o
-
-let step (t : ('m, 'a) t) =
-  match t.result with
-  | Some o -> `Done o
-  | None -> (
-      match Driver.decide t.d with
-      | None -> `Running
-      | Some term -> `Done (finish t (Driver.outcome t.d term)))
-
-let outcome t = t.result
-
-let cancel t = match t.result with Some o -> o | None -> finish t (Driver.cancel t.d)
-
-let run cfg =
-  let t = start cfg in
-  let rec go () = match step t with `Done o -> o | `Running -> go () in
-  go ()
+  let outer = Domain.DLS.get nested in
+  let teardown = ref [] in
+  Domain.DLS.set nested (Some teardown);
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set nested outer;
+      Array.iter cancel_fiber fibers;
+      List.iter (fun cancel -> cancel ()) !teardown)
+    (fun () -> Runner.run ?slot { cfg with Runner.processes = hosted })
 
 (* ------------------------------------------------------------------ *)
 (* Direct-style player programs. *)
@@ -172,4 +158,13 @@ let process_of ?(will = fun () -> None) program =
     flush ()
   in
   spawn fb body;
-  host fb will
+  let p = host fb will in
+  {
+    p with
+    Types.start =
+      (fun () ->
+        (match Domain.DLS.get nested with
+        | Some teardown -> teardown := (fun () -> cancel_fiber fb) :: !teardown
+        | None -> ());
+        p.Types.start ());
+  }

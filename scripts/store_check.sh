@@ -6,9 +6,12 @@
 #   2. tear the final record off the store: replay must recover with a
 #      warning and exit 0, and time travel must still work;
 #   3. an unrecoverable store must exit 1, a usage error 2;
-#   4. SIGKILL a checkpointed `serve --journal` mid-flight, resume it,
-#      and diff the deterministic digest against an uninterrupted run —
-#      byte-identical regardless of where the kill landed.
+#   4. on each backend (sim, and live, serve's default), SIGKILL a
+#      checkpointed `serve --journal` mid-flight, resume it, and diff
+#      the deterministic digest against an uninterrupted run —
+#      byte-identical regardless of where the kill landed. The live
+#      journal's manifest also gets the "inflight" field that older
+#      versions wrote, which resume must ignore.
 set -u
 
 CTMED=_build/default/bin/ctmed.exe
@@ -49,25 +52,35 @@ st=$?
 st=$?
 [ "$st" -eq 2 ] || fail "missing FILE should exit 2, got $st"
 
-# --- 4. SIGKILL mid-flight, resume, diff the digest ---------------------
-SERVE_ARGS="--sessions 120 --shards 4 --backend sim --checkpoint-every 3 -j 2"
-"$CTMED" serve $SERVE_ARGS --journal "$WORK/journal" >"$WORK/serve.out" 2>&1 &
-pid=$!
-sleep 0.5
-kill -9 "$pid" 2>/dev/null
-wait "$pid" 2>/dev/null
+# --- 4. SIGKILL mid-flight, resume, diff the digest (each backend) -----
+for backend in sim live; do
+  SERVE_ARGS="--sessions 120 --shards 4 --backend $backend --checkpoint-every 3 -j 2"
+  JOURNAL="$WORK/journal-$backend"
+  "$CTMED" serve $SERVE_ARGS --journal "$JOURNAL" >"$WORK/serve.out" 2>&1 &
+  pid=$!
+  sleep 0.5
+  kill -9 "$pid" 2>/dev/null
+  wait "$pid" 2>/dev/null
 
-"$CTMED" serve --resume "$WORK/journal" -j 2 >"$WORK/resume.out" 2>&1 \
-  || fail "resume after SIGKILL failed: $(cat "$WORK/resume.out")"
-resumed=$(sed -n 's/^digest: //p' "$WORK/resume.out")
-[ -n "$resumed" ] || fail "resume printed no digest"
+  if [ "$backend" = live ]; then
+    sed -i 's/"checkpoint_every"/"inflight": 16, "checkpoint_every"/' \
+      "$JOURNAL/manifest.json" 2>/dev/null
+    grep -q '"inflight"' "$JOURNAL/manifest.json" \
+      || fail "$backend: cannot add the old inflight field to the manifest"
+  fi
 
-"$CTMED" serve $SERVE_ARGS >"$WORK/ref.out" 2>&1 \
-  || fail "uninterrupted reference run failed"
-reference=$(sed -n 's/^digest: //p' "$WORK/ref.out")
-[ -n "$reference" ] || fail "reference run printed no digest"
+  "$CTMED" serve --resume "$JOURNAL" -j 2 >"$WORK/resume.out" 2>&1 \
+    || fail "$backend: resume after SIGKILL failed: $(cat "$WORK/resume.out")"
+  resumed=$(sed -n 's/^digest: //p' "$WORK/resume.out")
+  [ -n "$resumed" ] || fail "$backend: resume printed no digest"
 
-[ "$resumed" = "$reference" ] \
-  || fail "digest diverged after SIGKILL+resume: $resumed vs $reference"
+  "$CTMED" serve $SERVE_ARGS >"$WORK/ref.out" 2>&1 \
+    || fail "$backend: uninterrupted reference run failed"
+  reference=$(sed -n 's/^digest: //p' "$WORK/ref.out")
+  [ -n "$reference" ] || fail "$backend: reference run printed no digest"
 
-echo "store-check: replay verified, torn store recovered, SIGKILL+resume digest identical"
+  [ "$resumed" = "$reference" ] \
+    || fail "$backend: digest diverged after SIGKILL+resume: $resumed vs $reference"
+done
+
+echo "store-check: replay verified, torn store recovered, SIGKILL+resume digest identical on sim and live"

@@ -1,8 +1,8 @@
-(* The transport abstraction + live backend (ISSUE 7).
+(* The transport abstraction + live backend.
 
    The headline contract: a live run — players hosted on effects
-   fibers, every decision made by Runner.Driver.decide — is the SAME
-   pure function of the seed as a simulator run. Checked here:
+   fibers, the run itself Runner.run over them — is the SAME pure
+   function of the seed as a simulator run. Checked here:
 
    - qcheck: randomly generated protocols produce byte-identical
      outcome reprs (termination, moves, accounting, deterministic
@@ -11,22 +11,17 @@
      E1-small mediator game, chaos fault config) x >= 100 seeds with
      identical outcome distributions and metrics digests (the LIVE
      experiment table, same code path as `make live-check`);
-   - session rendezvous semantics: convene/attach publish one outcome
-     to every waiter, cancel preempts (gathering AND mid-run on the
-     live backend), late/duplicate attaches are rejected;
-   - crash-mid-session conservation: sent = delivered + dropped holds
-     when a live session is torn down externally, and fault accounting
-     matches the simulator per seed, and live sessions stepped in turn
-     on one domain each reproduce their solo run;
+   - teardown: sent = delivered + dropped holds when a watchdog ends a
+     live run, fault accounting matches the simulator per seed, and a
+     direct-style program still blocked in recv is cancelled;
    - the session engine (the path `ctmed serve` takes): every session's
-     outcome is unchanged by the backend, the Live in-flight window,
-     the shard count and the domain count;
+     outcome is unchanged by the backend, the shard count and the
+     domain count;
    - direct-style fiber programs (Live.process_of) run on BOTH
      backends and reproduce each other byte-for-byte. *)
 
 module Backend = Transport.Backend
 module Live = Transport.Live
-module Session = Transport.Session
 module Diff = Transport.Differential
 module Runner = Sim.Runner
 module Scheduler = Sim.Scheduler
@@ -168,7 +163,7 @@ let test_loop_branches_identical () =
       List.iter
         (fun faulted ->
           let name = if faulted then name ^ " +faults" else name in
-          let hits = ref 0 in
+          let hits = ref 0 and drops = ref 0 in
           for seed = 0 to 29 do
             let cfg () =
               let faults = if faulted then Some (Faults.Plan.make ~seed faults) else None in
@@ -185,9 +180,21 @@ let test_loop_branches_identical () =
             check "scheduler_exns" (fun o -> string_of_int o.T.metrics.scheduler_exns);
             check "invalid_decisions" (fun o -> string_of_int o.T.metrics.invalid_decisions);
             check "timed_out" (fun o -> string_of_int o.T.metrics.timed_out);
-            if fired o_sim.T.metrics o_sim.T.termination then incr hits
+            if fired o_sim.T.metrics o_sim.T.termination then incr hits;
+            (* a watchdog ends a live run from outside the protocol:
+               whatever is still pending is dropped, none of it lost *)
+            if Option.is_some fuel then begin
+              let m = o_live.T.metrics in
+              Alcotest.(check int)
+                (Printf.sprintf "%s seed %d: sent = delivered + dropped" name seed)
+                (Obs.Metrics.sent_total m)
+                (Obs.Metrics.delivered_total m + Obs.Metrics.dropped_total m);
+              if Obs.Metrics.dropped_total m > 0 then incr drops
+            end
           done;
-          Alcotest.(check bool) (name ^ ": branch fired") true (!hits > 0))
+          Alcotest.(check bool) (name ^ ": branch fired") true (!hits > 0);
+          if Option.is_some fuel then
+            Alcotest.(check bool) (name ^ ": dropped on some seed") true (!drops > 0))
         [ false; true ])
     branches
 
@@ -199,10 +206,6 @@ let test_loop_branches_identical () =
    The repr covers termination, moves, accounting, deterministic
    metrics and the trace digest, so any stale state leaking across a
    reset shows up byte-for-byte. *)
-
-let live_to_completion s =
-  let rec go () = match Live.step s with `Running -> go () | `Done o -> o in
-  go ()
 
 let prop_recycled_equals_fresh =
   QCheck.Test.make ~count:40
@@ -238,7 +241,7 @@ let prop_recycled_equals_fresh =
       let recycled =
         List.map
           (fun seed ->
-            if live then repr (live_to_completion (Live.start ~slot (cfg seed)))
+            if live then repr (Live.run ~slot (cfg seed))
             else repr (Runner.run ~slot (cfg seed)))
           seeds
       in
@@ -318,42 +321,7 @@ let test_differential_report_fields () =
   Alcotest.(check bool) "shifted pairing detected" false (Diff.ok r_bad)
 
 (* ------------------------------------------------------------------ *)
-(* Live.t stepping, cancellation, conservation *)
-
-let ping_pong_forever () =
-  let proc peer =
-    {
-      T.start = (fun () -> [ T.Send (peer, 0) ]);
-      receive = (fun ~src:_ m -> [ T.Send (peer, m + 1) ]);
-      will = (fun () -> None);
-    }
-  in
-  [| proc 1; proc 0 |]
-
-let test_cancel_conservation () =
-  (* tear a live session down mid-flight: Timed_out, and every sent
-     message is accounted delivered or dropped — crash-mid-session
-     leaves conservation intact *)
-  let s =
-    Live.start
-      (Runner.config ~scheduler:(Scheduler.fifo ()) (ping_pong_forever ()))
-  in
-  for _ = 1 to 25 do
-    match Live.step s with `Running -> () | `Done _ -> Alcotest.fail "finished?"
-  done;
-  let o = Live.cancel s in
-  Alcotest.(check bool) "timed out" true (o.T.termination = T.Timed_out);
-  let m = o.T.metrics in
-  Alcotest.(check int)
-    "sent = delivered + dropped"
-    (Obs.Metrics.sent_total m)
-    (Obs.Metrics.delivered_total m + Obs.Metrics.dropped_total m);
-  Alcotest.(check bool) "something was dropped" true (Obs.Metrics.dropped_total m > 0);
-  (* cancel after completion is a no-op returning the cached outcome *)
-  Alcotest.(check string) "cancel idempotent" (repr o) (repr (Live.cancel s));
-  match Live.step s with
-  | `Done o' -> Alcotest.(check string) "step after done" (repr o) (repr o')
-  | `Running -> Alcotest.fail "stepped past completion"
+(* Fault accounting on the live path *)
 
 let test_crash_window_conservation_matches_sim () =
   (* crash-restart windows on the live path: per-kind injected counters
@@ -378,140 +346,6 @@ let test_crash_window_conservation_matches_sim () =
       (Obs.Metrics.delivered_total m + Obs.Metrics.dropped_total m)
   done
 
-let test_round_robin_matches_solo () =
-  (* interleaving sessions on one domain changes nothing: stepping live
-     sessions one decision each, in turn, leaves every session's history
-     equal to its solo run *)
-  let mk seed () =
-    Runner.config
-      ~scheduler:(Scheduler.random_seeded seed)
-      (random_protocol ~n:3 ~seed ())
-  in
-  let seeds = Array.init 7 (fun i -> 100 + (17 * i)) in
-  let solo = Array.map (fun s -> repr (Live.run (mk s ()))) seeds in
-  let sessions = Array.map (fun s -> Live.start (mk s ())) seeds in
-  let running = ref (Array.to_list sessions) in
-  while not (List.is_empty !running) do
-    running :=
-      List.filter (fun l -> match Live.step l with `Running -> true | `Done _ -> false) !running
-  done;
-  Array.iteri
-    (fun i l ->
-      match Live.outcome l with
-      | Some o -> Alcotest.(check string) (Printf.sprintf "session %d" i) solo.(i) (repr o)
-      | None -> Alcotest.failf "session %d did not complete" i)
-    sessions
-
-(* ------------------------------------------------------------------ *)
-(* Session rendezvous semantics *)
-
-let session_config ps = Runner.config ~scheduler:(Scheduler.fifo ()) ps
-
-let test_session_convene_publishes_to_all () =
-  let n = 3 in
-  let procs = random_protocol ~n ~seed:5 () in
-  let s = Session.create ~n in
-  let waiters =
-    Array.init n (fun pid -> Domain.spawn (fun () -> Session.attach s ~pid procs.(pid)))
-  in
-  let convened = Session.convene ~backend:Backend.Live s ~make_config:session_config in
-  let views = Array.map Domain.join waiters in
-  (match convened with
-  | Ok o ->
-      let expect = repr o in
-      Array.iteri
-        (fun pid v ->
-          match v with
-          | Ok o' -> Alcotest.(check string) (Printf.sprintf "pid %d view" pid) expect (repr o')
-          | Error _ -> Alcotest.failf "pid %d not served" pid)
-        views
-  | Error _ -> Alcotest.fail "convene failed");
-  (* the session is one-shot: a second convene is Closed, a late attach
-     is Closed *)
-  (match Session.convene s ~make_config:session_config with
-  | Error `Closed -> ()
-  | _ -> Alcotest.fail "second convene should be Closed");
-  match Session.attach s ~pid:0 procs.(0) with
-  | Error `Closed -> ()
-  | _ -> Alcotest.fail "late attach should be Closed"
-
-let test_session_attach_validation () =
-  let s : (int, int) Session.t = Session.create ~n:2 in
-  let p = (random_protocol ~n:2 ~seed:1 ()).(0) in
-  (match Session.attach s ~pid:2 p with
-  | _ -> Alcotest.fail "out-of-range pid accepted"
-  | exception Invalid_argument _ -> ());
-  (match Session.create ~n:0 with
-  | _ -> Alcotest.fail "n=0 accepted"
-  | exception Invalid_argument _ -> ());
-  (* duplicate slot: park the first attacher in a domain, then collide *)
-  let first = Domain.spawn (fun () -> Session.attach s ~pid:0 p) in
-  while Session.attached s < 1 do
-    Domain.cpu_relax ()
-  done;
-  (match Session.attach s ~pid:0 p with
-  | _ -> Alcotest.fail "duplicate slot accepted"
-  | exception Invalid_argument _ -> ());
-  Session.cancel s;
-  match Domain.join first with
-  | Error `Cancelled -> ()
-  | _ -> Alcotest.fail "parked attacher not released by cancel"
-
-let test_session_cancel_releases_gatherers () =
-  let n = 4 in
-  let procs = random_protocol ~n ~seed:7 () in
-  let s = Session.create ~n in
-  (* only 2 of 4 attach: the rendezvous can never complete *)
-  let blocked =
-    Array.init 2 (fun pid -> Domain.spawn (fun () -> Session.attach s ~pid procs.(pid)))
-  in
-  let convener = Domain.spawn (fun () -> Session.convene s ~make_config:session_config) in
-  while Session.attached s < 2 do
-    Domain.cpu_relax ()
-  done;
-  Session.cancel s;
-  Array.iter
-    (fun d ->
-      match Domain.join d with
-      | Error `Cancelled -> ()
-      | _ -> Alcotest.fail "attacher not cancelled")
-    blocked;
-  (match Domain.join convener with
-  | Error `Cancelled -> ()
-  | _ -> Alcotest.fail "convener not cancelled");
-  Session.cancel s (* idempotent *)
-
-let test_session_cancel_preempts_live_run () =
-  (* cancel lands while the convened game is RUNNING on the live
-     backend: the steppable session is torn down between arbiter
-     decisions and everyone is released cancelled *)
-  let n = 2 in
-  let s = Session.create ~n in
-  let procs = ping_pong_forever () in
-  let waiters =
-    Array.init n (fun pid -> Domain.spawn (fun () -> Session.attach s ~pid procs.(pid)))
-  in
-  let convener =
-    Domain.spawn (fun () ->
-        Session.convene ~backend:Backend.Live s ~make_config:session_config)
-  in
-  (* the game never terminates on its own; give it time to be running *)
-  while Session.attached s < n do
-    Domain.cpu_relax ()
-  done;
-  Unix.sleepf 0.05;
-  Session.cancel s;
-  (match Domain.join convener with
-  | Error `Cancelled -> ()
-  | Ok _ -> Alcotest.fail "infinite game finished?"
-  | Error `Closed -> Alcotest.fail "convener saw Closed");
-  Array.iter
-    (fun d ->
-      match Domain.join d with
-      | Error `Cancelled -> ()
-      | _ -> Alcotest.fail "waiter not released")
-    waiters
-
 (* ------------------------------------------------------------------ *)
 (* Serving: `ctmed serve` runs every session through Engine.run *)
 
@@ -519,7 +353,7 @@ let test_serve_deterministic_across_shapes () =
   (* with the full outcome repr as the profile, every served session's
      trace is a key of the profile table, so the table must list exactly
      the sequential Runner.run of each seed, whatever the backend, the
-     Live in-flight window (serve --batch), the shard count and -j *)
+     shard count and -j (the inflight values passed are inert) *)
   let sessions = 13 in
   let make ~seed =
     Runner.config ~scheduler:(Scheduler.random_seeded seed)
@@ -598,10 +432,35 @@ let test_fiber_program_will_and_halt () =
   let willed = Runner.moves_with_wills (fiber_pair ()) o_sim in
   Alcotest.(check (option int)) "caller's will applies" (Some 9) willed.(1)
 
+let test_fiber_program_cancelled_at_teardown () =
+  (* two direct-style programs ping-pong forever; the fuel watchdog ends
+     the run with both blocked in recv, and Live.run must unwind each of
+     them with Cancelled *)
+  let cancelled = ref 0 in
+  let pinger peer =
+    Live.process_of (fun api ->
+        try
+          api.Live.send peer 0;
+          while true do
+            let _, m = api.Live.recv () in
+            api.Live.send peer (m + 1)
+          done
+        with Live.Cancelled as e ->
+          incr cancelled;
+          raise e)
+  in
+  let o =
+    Live.run
+      (Runner.config ~fuel:25 ~scheduler:(Scheduler.fifo ()) [| pinger 1; pinger 0 |])
+  in
+  Alcotest.(check bool) "timed out" true (o.T.termination = T.Timed_out);
+  Alcotest.(check int) "both blocked programs cancelled" 2 !cancelled
+
 (* ------------------------------------------------------------------ *)
 (* The sharded throughput engine: its aggregate digest is a pure
    function of (sessions, workload seeds) — invariant under shard
-   count, pool size, in-flight window and backend. *)
+   count, pool size and backend (the inflight values passed are
+   inert). *)
 
 let toy_make ~seed = Engine.Toy.config ~seed ()
 
@@ -728,22 +587,8 @@ let () =
         :: qsuite [ prop_recycled_equals_fresh ] );
       ( "live sessions",
         [
-          Alcotest.test_case "cancel mid-run conserves messages" `Quick
-            test_cancel_conservation;
           Alcotest.test_case "crash windows match sim per seed" `Quick
             test_crash_window_conservation_matches_sim;
-          Alcotest.test_case "round-robin multiplexing = solo runs" `Quick
-            test_round_robin_matches_solo;
-        ] );
-      ( "rendezvous",
-        [
-          Alcotest.test_case "convene publishes to every attacher" `Quick
-            test_session_convene_publishes_to_all;
-          Alcotest.test_case "attach validation" `Quick test_session_attach_validation;
-          Alcotest.test_case "cancel releases gatherers" `Quick
-            test_session_cancel_releases_gatherers;
-          Alcotest.test_case "cancel preempts a running live game" `Quick
-            test_session_cancel_preempts_live_run;
         ] );
       ( "serve",
         [
@@ -756,6 +601,8 @@ let () =
             test_fiber_programs_both_backends;
           Alcotest.test_case "halt-on-return and wills" `Quick
             test_fiber_program_will_and_halt;
+          Alcotest.test_case "blocked recv cancelled at teardown" `Quick
+            test_fiber_program_cancelled_at_teardown;
         ] );
       ( "engine",
         [
