@@ -24,6 +24,7 @@ let signalling_scheduler ~on_signal ~inner =
   {
     Sim.Scheduler.name = "signalling+" ^ inner.Sim.Scheduler.name;
     relaxed = inner.Sim.Scheduler.relaxed;
+    history = true;
     reset =
       (fun () ->
         last := 0;

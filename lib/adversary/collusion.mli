@@ -20,4 +20,5 @@ val signalling_scheduler :
 (** Wraps a scheduler: watches the pattern history for self-message bursts
     and reports each newly completed burst's size via [on_signal], then
     delegates the actual decision to [inner]. The self-messages themselves
-    are delivered normally. *)
+    are delivered normally. The wrapper declares [Scheduler.t.history],
+    whatever [inner] declares: it reads the history itself. *)

@@ -8,31 +8,60 @@ let pp_msg fmt = function
   | Aux { round; value } -> Format.fprintf fmt "AUX(%d,%b)" round value
   | Decide v -> Format.fprintf fmt "DECIDE(%b)" v
 
-module Iset = Set.Make (Int)
+(* Who sent which value, one value per src (AUX and DECIDE): [from] is
+   n bytes, 0 = nothing yet, 1 = false, 2 = true, and the two counters
+   make every quorum query O(1) and allocation-free. *)
+type tally = {
+  from : Bytes.t;
+  mutable n_false : int;
+  mutable n_true : int;
+}
+
+let tally_create n = { from = Bytes.make n '\000'; n_false = 0; n_true = 0 }
+let tally_count t v = if v then t.n_true else t.n_false
+let tally_total t = t.n_false + t.n_true
+
+(* [src]'s value becomes [v], replacing any earlier one. *)
+let tally_set t src v =
+  (match Bytes.get t.from src with
+  | '\001' -> t.n_false <- t.n_false - 1
+  | '\002' -> t.n_true <- t.n_true - 1
+  | _ -> ());
+  Bytes.set t.from src (if v then '\002' else '\001');
+  if v then t.n_true <- t.n_true + 1 else t.n_false <- t.n_false + 1
+
+(* The first value from [src] counts; later ones are ignored. *)
+let tally_add t src v = if Bytes.get t.from src = '\000' then tally_set t src v
 
 type round_state = {
-  mutable bval_from_false : Iset.t;
-  mutable bval_from_true : Iset.t;
+  (* per src: bit 0 = BVAL(r, false) in, bit 1 = BVAL(r, true) in (a
+     player may send both), counted per value *)
+  bval_from : Bytes.t;
+  mutable bval_false : int;
+  mutable bval_true : int;
   mutable bval_sent_false : bool;
   mutable bval_sent_true : bool;
   mutable bin_false : bool;
   mutable bin_true : bool;
   mutable aux_sent : bool;
-  aux_from : (int, bool) Hashtbl.t;
+  aux : tally;
   mutable completed : bool;
 }
+
+(* Rounds stay sparse: a Byzantine player may name any round. *)
+module Rounds = Hashtbl.Make (Int)
 
 type t = {
   n : int;
   f : int;
   me : int;
   coin : Coin.t;
-  rounds : (int, round_state) Hashtbl.t;
+  rounds : round_state Rounds.t;
   mutable current : int; (* 0 = not proposed *)
   mutable est : bool;
   mutable decided : bool option;
   mutable decide_sent : bool;
-  decide_from : (int, bool) Hashtbl.t;
+  decide_from : tally;
   mutable halted : bool;
 }
 
@@ -43,33 +72,34 @@ let create ~n ~f ~me ~coin =
     f;
     me;
     coin;
-    rounds = Hashtbl.create 8;
+    rounds = Rounds.create 8;
     current = 0;
     est = false;
     decided = None;
     decide_sent = false;
-    decide_from = Hashtbl.create 8;
+    decide_from = tally_create n;
     halted = false;
   }
 
 let round_state s r =
-  match Hashtbl.find_opt s.rounds r with
+  match Rounds.find_opt s.rounds r with
   | Some st -> st
   | None ->
       let st =
         {
-          bval_from_false = Iset.empty;
-          bval_from_true = Iset.empty;
+          bval_from = Bytes.make s.n '\000';
+          bval_false = 0;
+          bval_true = 0;
           bval_sent_false = false;
           bval_sent_true = false;
           bin_false = false;
           bin_true = false;
           aux_sent = false;
-          aux_from = Hashtbl.create 8;
+          aux = tally_create s.n;
           completed = false;
         }
       in
-      Hashtbl.replace s.rounds r st;
+      Rounds.replace s.rounds r st;
       st
 
 type reaction = {
@@ -80,14 +110,22 @@ type reaction = {
 let nothing = { sends = []; decided = None }
 
 let to_others s m =
-  List.filter_map (fun dst -> if dst = s.me then None else Some (dst, m)) (List.init s.n (fun i -> i))
+  let acc = ref [] in
+  for dst = s.n - 1 downto 0 do
+    if dst <> s.me then acc := (dst, m) :: !acc
+  done;
+  !acc
 
-let bval_count st v = Iset.cardinal (if v then st.bval_from_true else st.bval_from_false)
+let bval_count st v = if v then st.bval_true else st.bval_false
 let bval_sent st v = if v then st.bval_sent_true else st.bval_sent_false
 
 let record_bval st src v =
-  if v then st.bval_from_true <- Iset.add src st.bval_from_true
-  else st.bval_from_false <- Iset.add src st.bval_from_false
+  let bit = if v then 2 else 1 in
+  let seen = Char.code (Bytes.get st.bval_from src) in
+  if seen land bit = 0 then begin
+    Bytes.set st.bval_from src (Char.chr (seen lor bit));
+    if v then st.bval_true <- st.bval_true + 1 else st.bval_false <- st.bval_false + 1
+  end
 
 let mark_bval_sent st v = if v then st.bval_sent_true <- true else st.bval_sent_false <- true
 let in_bin st v = if v then st.bin_true else st.bin_false
@@ -108,7 +146,7 @@ let send_aux s r v =
   if st.aux_sent then []
   else begin
     st.aux_sent <- true;
-    Hashtbl.replace st.aux_from s.me v;
+    tally_set st.aux s.me v;
     to_others s (Aux { round = r; value = v })
   end
 
@@ -116,7 +154,7 @@ let send_decide s v =
   if s.decide_sent then []
   else begin
     s.decide_sent <- true;
-    Hashtbl.replace s.decide_from s.me v;
+    tally_set s.decide_from s.me v;
     to_others s (Decide v)
   end
 
@@ -124,16 +162,16 @@ let send_decide s v =
 let bval_progress s r =
   let st = round_state s r in
   let sends = ref [] in
-  List.iter
-    (fun v ->
-      let c = bval_count st v in
-      if c >= s.f + 1 && not (bval_sent st v) then sends := send_bval s r v @ !sends;
-      if c >= (2 * s.f) + 1 && not (in_bin st v) then begin
-        add_bin st v;
-        (* bin_values became nonempty: send AUX once (in our current round). *)
-        if r = s.current && not st.aux_sent then sends := send_aux s r v @ !sends
-      end)
-    [ false; true ];
+  for i = 0 to 1 do
+    let v = i = 1 in
+    let c = bval_count st v in
+    if c >= s.f + 1 && not (bval_sent st v) then sends := send_bval s r v @ !sends;
+    if c >= (2 * s.f) + 1 && not (in_bin st v) then begin
+      add_bin st v;
+      (* bin_values became nonempty: send AUX once (in our current round). *)
+      if r = s.current && not st.aux_sent then sends := send_aux s r v @ !sends
+    end
+  done;
   (* We may have entered round r with bin_values already populated. *)
   if r = s.current && not st.aux_sent then begin
     if st.bin_true then sends := send_aux s r true @ !sends
@@ -150,14 +188,12 @@ let rec try_complete s =
     if st.completed || not st.aux_sent then nothing
     else begin
       let valid =
-        Hashtbl.fold (fun _src v acc -> if in_bin st v then acc + 1 else acc) st.aux_from 0
+        (if st.bin_false then st.aux.n_false else 0) + (if st.bin_true then st.aux.n_true else 0)
       in
       if valid < s.n - s.f then nothing
       else begin
-        let vals_true = Hashtbl.fold (fun _ v acc -> acc || (v && in_bin st v)) st.aux_from false in
-        let vals_false =
-          Hashtbl.fold (fun _ v acc -> acc || ((not v) && in_bin st v)) st.aux_from false
-        in
+        let vals_true = st.bin_true && st.aux.n_true > 0 in
+        let vals_false = st.bin_false && st.aux.n_false > 0 in
         st.completed <- true;
         let c = s.coin ~round:r in
         let decided_now = ref None in
@@ -200,10 +236,11 @@ let propose s v =
   end
 
 let check_halt s =
-  if (not s.halted) && Hashtbl.length s.decide_from >= s.n - s.f then s.halted <- true
+  if (not s.halted) && tally_total s.decide_from >= s.n - s.f then s.halted <- true
 
+(* A [src] outside [0, n) is ignored: the runner never delivers one. *)
 let handle s ~src m =
-  if s.halted then nothing
+  if s.halted || src < 0 || src >= s.n then nothing
   else
     match m with
     | Bval { round; value } ->
@@ -214,14 +251,13 @@ let handle s ~src m =
         check_halt s;
         { sends = sends @ r.sends; decided = r.decided }
     | Aux { round; value } ->
-        let st = round_state s round in
-        if not (Hashtbl.mem st.aux_from src) then Hashtbl.replace st.aux_from src value;
+        tally_add (round_state s round).aux src value;
         let r = try_complete s in
         check_halt s;
         r
     | Decide v ->
-        if not (Hashtbl.mem s.decide_from src) then Hashtbl.replace s.decide_from src v;
-        let count = Hashtbl.fold (fun _ v' acc -> if v' = v then acc + 1 else acc) s.decide_from 0 in
+        tally_add s.decide_from src v;
+        let count = tally_count s.decide_from v in
         let sends = ref [] in
         let decided_now = ref None in
         if count >= s.f + 1 then begin

@@ -24,6 +24,7 @@ let record_scheduler inner log =
   Scheduler.custom
     ~name:("record:" ^ inner.Scheduler.name)
     ~relaxed:false
+    ~history:inner.Scheduler.history
     (fun ~step ~history ~pending ->
       let pick (v : Types.pending_view) =
         log := { e_src = v.Types.src; e_dst = v.Types.dst; e_seq = v.Types.seq } :: !log;
@@ -48,7 +49,7 @@ let record_scheduler inner log =
 let replay_scheduler script ~hold ~promote diverged =
   let remaining = ref script in
   let released = ref false in
-  Scheduler.custom ~name:"replay" ~relaxed:false (fun ~step:_ ~history:_ ~pending ->
+  Scheduler.custom ~name:"replay" ~relaxed:false ~history:false (fun ~step:_ ~history:_ ~pending ->
       let rec pick acc = function
         | [] -> None
         | e :: rest ->

@@ -22,9 +22,10 @@
     {b Steady-state allocation.} The per-completion fold allocates
     nothing proportional to the session's message count. A workload
     built with [Runner.config ~record:false] (only {!Toy} is) also
-    allocates no trace/pattern nodes per delivery; [ctmed serve] and
-    the served-session benchmark build compiled sessions with the
-    default [record:true].
+    keeps no trace nodes per delivery, and one whose scheduler reads
+    no history keeps no pattern nodes; [ctmed serve] and the
+    served-session benchmark build compiled sessions with the default
+    [record:true].
 
     {b Determinism contract.} Everything in {!det_repr} is a pure
     function of (sessions, the workload, the per-session seeds): every

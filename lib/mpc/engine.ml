@@ -488,20 +488,32 @@ let start (e : t) =
   let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
   { sends = !sends @ more; result }
 
+(* Settle on change: [handle] runs [settle] only when the message turned
+   an AVSS session accepted, turned an ABA vote decided or stored a new
+   output point. This is exact. Every rule of [settle] reads only
+   acceptance (with the share, which is set at acceptance), decisions,
+   output points and state that [settle] writes itself, and its loop
+   exits only after a pass that fired nothing, so on return every rule's
+   guard is false (the one write such a pass can make, marking a halted
+   vote proposed, only disables rules). A message that changes none of
+   those three leaves every guard false, and a settle pass would fire
+   nothing and return []. [start] still settles unconditionally. *)
 let handle (e : t) ~src m =
-  let before = e.result in
+  let changed = ref false in
   let sends =
     match m with
     | Share_msg (sid, sub) ->
         if session_index e sid < 0 then []
         else begin
           let r = Avss.handle (session e sid) ~src sub in
+          changed := Option.is_some r.Avss.accepted;
           wrap_share sid r.Avss.sends
         end
     | Vote_msg (vid, sub) ->
         if vote_index e vid < 0 then []
         else begin
           let r = Aba.handle (vote e vid) ~src sub in
+          changed := Option.is_some r.Aba.decided;
           wrap_vote vid r.Aba.sends
         end
     | Output_msg (stage, v) ->
@@ -512,13 +524,18 @@ let handle (e : t) ~src m =
           && Option.is_none e.output_points.((stage * e.n) + src)
         then begin
           e.output_points.((stage * e.n) + src) <- Some v;
-          e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1
+          e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1;
+          changed := true
         end;
         []
   in
-  let more = settle e in
-  let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
-  { sends = sends @ more; result }
+  if not !changed then { sends; result = None }
+  else begin
+    let before = e.result in
+    let more = settle e in
+    let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
+    { sends = sends @ more; result }
+  end
 
 let result (e : t) = e.result
 let stage_results (e : t) = Array.copy e.stage_results

@@ -15,7 +15,7 @@ let scripted_run ~max_steps ~make prefix =
   let remaining = ref prefix in
   let tail_counts = ref [] in
   let sched =
-    Scheduler.custom ~name:"scripted" ~relaxed:false
+    Scheduler.custom ~name:"scripted" ~relaxed:false ~history:false
       (fun ~step:_ ~history:_ ~pending ->
         match !remaining with
         | i :: rest ->

@@ -65,11 +65,11 @@ type ('m, 'a) core = {
   faults : Faults.Plan.t option;
   fuzz : (src:pid -> dst:pid -> seq:int -> 'm -> 'm) option;
   mb : Obs.Metrics.Builder.t;
-  (* trace/pattern recording switch: the throughput engine turns it off
-     so steady-state delivery allocates nothing per message. Only valid
-     with history-free schedulers (random_seeded / fifo / lifo /
-     round_robin) — the scheduler sees an empty [~history]. *)
+  (* [record]: keep the trace (the outcome's [trace]); [history]: keep
+     the pattern list, built only for a scheduler whose [choose] reads
+     it. With both off a run keeps nothing per message. *)
   record : bool;
+  history : bool;
   halted : bool array;
   started : bool array;
   moves : 'a option array;
@@ -101,7 +101,7 @@ type ('m, 'a) core = {
   crash_announced : bool array;
 }
 
-let create_core ?faults ?fuzz ?(record = true) ~mediator procs =
+let create_core ?faults ?fuzz ?(record = true) ~history ~mediator procs =
   let n = Array.length procs in
   let crash_specs =
     match faults with
@@ -116,6 +116,7 @@ let create_core ?faults ?fuzz ?(record = true) ~mediator procs =
     fuzz;
     mb = Obs.Metrics.Builder.create ~mediator;
     record;
+    history;
     halted = Array.make n false;
     started = Array.make n false;
     moves = Array.make n None;
@@ -146,7 +147,7 @@ let create_core ?faults ?fuzz ?(record = true) ~mediator procs =
    noise next to the ~1.1k words of arrays being reused. Only valid when
    the process count matches — [core_for] falls back to a fresh core
    otherwise. *)
-let reset_core old ?faults ?fuzz ~record ~mediator procs =
+let reset_core old ?faults ?fuzz ~record ~history ~mediator procs =
   let n = Array.length procs in
   assert (n = old.n);
   Array.fill old.halted 0 n false;
@@ -182,6 +183,7 @@ let reset_core old ?faults ?fuzz ~record ~mediator procs =
     faults;
     fuzz;
     record;
+    history;
     trace = [];
     pattern = [];
     next_id = 0;
@@ -204,21 +206,21 @@ module Slot = struct
   let is_warm s = Option.is_some !s
 end
 
-let core_for ?slot ?faults ?fuzz ~record ~mediator procs =
+let core_for ?slot ?faults ?fuzz ~record ~history ~mediator procs =
   match slot with
-  | None -> create_core ?faults ?fuzz ~record ~mediator procs
+  | None -> create_core ?faults ?fuzz ~record ~history ~mediator procs
   | Some slot ->
       let c =
         match !slot with
         | Some old when old.n = Array.length procs ->
-            reset_core old ?faults ?fuzz ~record ~mediator procs
-        | _ -> create_core ?faults ?fuzz ~record ~mediator procs
+            reset_core old ?faults ?fuzz ~record ~history ~mediator procs
+        | _ -> create_core ?faults ?fuzz ~record ~history ~mediator procs
       in
       slot := Some c;
       c
 
 let emit c ev = if c.record then c.trace <- ev :: c.trace
-let emit_pat c p = if c.record then c.pattern <- p :: c.pattern
+let emit_pat c p = if c.history then c.pattern <- p :: c.pattern
 
 let item_get c id = if id >= 0 && id < Array.length c.items then c.items.(id) else None
 let item_mem c id = Option.is_some (item_get c id)
@@ -579,7 +581,7 @@ type ('m, 'a) driver = {
 let make_driver ?slot ?emit (cfg : ('m, 'a) config) =
   let c =
     core_for ?slot ?faults:cfg.faults ?fuzz:cfg.fuzz ~record:cfg.record
-      ~mediator:cfg.mediator cfg.processes
+      ~history:cfg.scheduler.Scheduler.history ~mediator:cfg.mediator cfg.processes
   in
   enqueue_starts c;
   { cfg; c; t_start = (if Option.is_some cfg.wall_limit then now () else 0.0); emit }
@@ -866,7 +868,7 @@ module Step = struct
   type ('m, 'a) t = ('m, 'a) core
 
   let create ?mediator procs =
-    let c = create_core ~mediator procs in
+    let c = create_core ~history:false ~mediator procs in
     enqueue_starts c;
     c
 

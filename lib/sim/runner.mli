@@ -52,13 +52,14 @@ type ('m, 'a) config = {
           Environmental by nature — never enable it in a run whose trace
           participates in a byte-identity diff *)
   record : bool;
-      (** record the trace/pattern history (default [true]). [false] is
-          the throughput engine's steady-state mode: delivery allocates
-          nothing per message, the outcome's [trace] is [[]] and the
-          scheduler's [~history] argument is always empty — only valid
-          with history-free schedulers ([random_seeded], [fifo],
-          [lifo], [round_robin]); [adaptive_laggard] (and the run
-          linter, which reads the trace) require recording *)
+      (** keep the trace (default [true]). With [false] the outcome's
+          [trace] is [[]], so its consumers (the run linter, [Trace_pp],
+          the trace digest in [Differential.outcome_repr]) see nothing;
+          [Engine.Toy] runs so. [record] governs only the trace: the
+          pattern history passed to the scheduler's [choose] is built
+          exactly when the scheduler declares [Scheduler.t.history],
+          whatever [record] says. With [record:false] and a scheduler
+          that reads no history, a run keeps nothing per message. *)
 }
 
 val config :

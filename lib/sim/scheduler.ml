@@ -10,6 +10,7 @@ type pattern_event =
 type t = {
   name : string;
   relaxed : bool;
+  history : bool;
   reset : unit -> unit;
   choose : step:int -> history:pattern_event list -> pending:Pending_set.t -> Types.decision;
 }
@@ -20,6 +21,7 @@ let fifo () =
   {
     name = "fifo";
     relaxed = false;
+    history = false;
     reset = ignore;
     choose = (fun ~step:_ ~history:_ ~pending -> deliver (Pending_set.oldest pending));
   }
@@ -28,6 +30,7 @@ let lifo () =
   {
     name = "lifo";
     relaxed = false;
+    history = false;
     reset = ignore;
     choose = (fun ~step:_ ~history:_ ~pending -> deliver (Pending_set.newest pending));
   }
@@ -36,6 +39,7 @@ let random rng =
   {
     name = "random";
     relaxed = false;
+    history = false;
     reset = ignore;
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -50,6 +54,7 @@ let avoid ~name pred rng =
   {
     name;
     relaxed = false;
+    history = false;
     reset = ignore;
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -72,6 +77,7 @@ let prioritise ~players rng =
     name =
       Printf.sprintf "prioritise[%s]" (String.concat "," (List.map string_of_int players));
     relaxed = false;
+    history = false;
     reset = ignore;
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -89,6 +95,7 @@ let round_robin () =
   {
     name = "round-robin";
     relaxed = false;
+    history = false;
     reset = (fun () -> next_dst := 0);
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -128,6 +135,7 @@ let relaxed_stop_after k =
   {
     name = Printf.sprintf "relaxed-stop-after-%d" k;
     relaxed = true;
+    history = false;
     reset = (fun () -> delivered := 0);
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -142,6 +150,7 @@ let relaxed_random ~stop_prob rng =
   {
     name = Printf.sprintf "relaxed-random-%.3f" stop_prob;
     relaxed = true;
+    history = false;
     reset = ignore;
     choose =
       (fun ~step:_ ~history:_ ~pending ->
@@ -171,6 +180,7 @@ let adaptive_laggard rng =
   {
     name = "adaptive-laggard";
     relaxed = false;
+    history = true;
     reset =
       (fun () ->
         Hashtbl.reset counts;
@@ -195,7 +205,8 @@ let adaptive_laggard rng =
             | None -> deliver (Pending_set.oldest pending)));
   }
 
-let custom ?(reset = ignore) ~name ~relaxed choose = { name; relaxed; reset; choose }
+let custom ?(reset = ignore) ?(history = true) ~name ~relaxed choose =
+  { name; relaxed; history; reset; choose }
 
 let standard_library rng =
   let split () = Random.State.make [| Random.State.bits rng |] in

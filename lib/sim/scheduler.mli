@@ -34,12 +34,20 @@ type t = {
       (** Relaxed schedulers (mediator game only, Section 5) may stop
           delivering; non-relaxed schedulers must eventually deliver
           everything (the driver enforces this with a starvation bound). *)
+  history : bool;
+      (** Whether [choose] reads its [~history] argument. This is a
+          statement about the scheduler, not a tuning option: the runner
+          builds the pattern history only for a scheduler that declares
+          it and passes [[]] to every other, so a wrong [false] silently
+          blinds the scheduler. Of the library schedulers only
+          [adaptive_laggard] reads it. *)
   reset : unit -> unit;
       (** Clear per-run decision state (never random streams). Invoked by
           [Runner.run] before the first decision of every run. *)
   choose : step:int -> history:pattern_event list -> pending:Pending_set.t -> Types.decision;
-      (** [history] is reverse-chronological. [pending] is always
-          non-empty when called. *)
+      (** [history] is reverse-chronological, and [[]] unless the
+          scheduler declares [history]. [pending] is always non-empty
+          when called. *)
 }
 
 val fifo : unit -> t
@@ -85,12 +93,15 @@ val relaxed_random : stop_prob:float -> Random.State.t -> t
 
 val custom :
   ?reset:(unit -> unit) ->
+  ?history:bool ->
   name:string ->
   relaxed:bool ->
   (step:int -> history:pattern_event list -> pending:Pending_set.t -> Types.decision) ->
   t
 (** [?reset] defaults to a no-op: stateless custom schedulers need not
-    care; stateful ones should clear their decision state there. *)
+    care; stateful ones should clear their decision state there.
+    [?history] defaults to [true], the safe statement for a [choose] the
+    library cannot inspect; pass [false] when it ignores [~history]. *)
 
 val standard_library : Random.State.t -> t list
 (** The non-relaxed schedulers used when quantifying "for all σe" in

@@ -5,8 +5,12 @@
 # been the dominant cost in a profile (Games.Dist, Step.state_hash,
 # the engine's profile table); after each audit we pin the fix here.
 #
-# Scope: lib/engine, lib/store, lib/wire — the per-session / per-record
-# hot paths. Checks:
+# Scope: lib/engine, lib/store, lib/wire, lib/mpc and lib/agreement/aba.ml
+# — the per-session / per-record / per-delivery hot paths. The rest of
+# lib/agreement stays out by name: coin.ml's polymorphic Hashtbl.hash over
+# (seed, instance, round, "coin") *defines* the common-coin values, so
+# replacing it would change every coin and re-baseline every digest.
+# Checks:
 #   1. no bare `compare` passed as a function (use Int.compare /
 #      String.compare / a monomorphic cmp);
 #   2. no Stdlib.compare / Stdlib.( = ) / Hashtbl.hash;
@@ -17,11 +21,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+scope="lib/engine lib/store lib/wire lib/mpc lib/agreement/aba.ml"
+
 fail=0
 scan() {
     pattern="$1"; msg="$2"
     # strip OCaml comment lines to keep docs free to mention the names
-    hits=$(grep -rnE "$pattern" lib/engine lib/store lib/wire --include='*.ml' \
+    hits=$(grep -rnE "$pattern" $scope --include='*.ml' \
         | grep -vE '^\s*[^:]*:[0-9]+:\s*\(\*' | grep -vE '\(\*.*\*\)\s*$' || true)
     if [ -n "$hits" ]; then
         echo "poly-compare guard: $msg" >&2
@@ -40,4 +46,4 @@ scan 'Hashtbl\.(create|add|find|find_opt|replace|remove|mem|iter|fold|length|res
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "poly-compare guard: lib/engine lib/store lib/wire clean"
+echo "poly-compare guard: $scope clean"

@@ -112,6 +112,81 @@ let test_validation () =
   Alcotest.check_raises "n <= 3f" (Invalid_argument "Aba.create: need n > 3f") (fun () ->
       ignore (Aba.create ~n:3 ~f:1 ~me:0 ~coin:(common_coin 1)))
 
+(* --- ABA edge cases: one session driven message by message (n = 4,
+   f = 1, me = 0, coin always true) --- *)
+
+let bval r v = Aba.Bval { round = r; value = v }
+let aux r v = Aba.Aux { round = r; value = v }
+let fresh_aba () = Aba.create ~n:4 ~f:1 ~me:0 ~coin:(Coin.constant true)
+let nsends (r : Aba.reaction) = List.length r.Aba.sends
+
+(* Propose true and let players 1 and 2 echo BVAL(1, true): bin_values
+   = {true} and our own AUX(1, true) is out, so two more AUX(1, true)
+   complete round 1 and decide true. *)
+let aba_awaiting_aux () =
+  let s = fresh_aba () in
+  ignore (Aba.propose s true);
+  ignore (Aba.handle s ~src:1 (bval 1 true));
+  Alcotest.(check int) "BVAL quorum sends AUX" 3 (nsends (Aba.handle s ~src:2 (bval 1 true)));
+  s
+
+let test_aba_duplicates_count_once () =
+  let s = fresh_aba () in
+  Alcotest.(check int) "one BVAL: no echo" 0 (nsends (Aba.handle s ~src:1 (bval 1 true)));
+  Alcotest.(check int) "duplicate BVAL: no echo" 0 (nsends (Aba.handle s ~src:1 (bval 1 true)));
+  Alcotest.(check int) "f+1 senders: echo" 3 (nsends (Aba.handle s ~src:2 (bval 1 true)));
+  let s = aba_awaiting_aux () in
+  ignore (Aba.handle s ~src:1 (aux 1 true));
+  ignore (Aba.handle s ~src:1 (aux 1 true));
+  Alcotest.(check (option bool)) "duplicate AUX: round 1 open" None (Aba.decision s);
+  Alcotest.(check (option bool)) "n-f AUX senders: decide" (Some true)
+    (Aba.handle s ~src:2 (aux 1 true)).Aba.decided;
+  let s = fresh_aba () in
+  ignore (Aba.handle s ~src:1 (Aba.Decide true));
+  ignore (Aba.handle s ~src:1 (Aba.Decide true));
+  Alcotest.(check (option bool)) "duplicate DECIDE: undecided" None (Aba.decision s);
+  Alcotest.(check (option bool)) "f+1 DECIDE senders: decide" (Some true)
+    (Aba.handle s ~src:2 (Aba.Decide true)).Aba.decided
+
+let test_aba_self_aux_replaces () =
+  (* a self-addressed AUX(1, false) arrives first; our own AUX(1, true)
+     replaces it, so it counts towards the true quorum *)
+  let s = fresh_aba () in
+  ignore (Aba.handle s ~src:0 (aux 1 false));
+  ignore (Aba.propose s true);
+  ignore (Aba.handle s ~src:1 (bval 1 true));
+  ignore (Aba.handle s ~src:2 (bval 1 true));
+  ignore (Aba.handle s ~src:1 (aux 1 true));
+  Alcotest.(check (option bool)) "own AUX(true) + 2 others decide" (Some true)
+    (Aba.handle s ~src:2 (aux 1 true)).Aba.decided
+
+let test_aba_ignores_out_of_range_src () =
+  let n = 4 in
+  let s = fresh_aba () in
+  List.iter
+    (fun src ->
+      Alcotest.(check int) (Printf.sprintf "BVAL from %d" src) 0
+        (nsends (Aba.handle s ~src (bval 1 true)));
+      Alcotest.(check int) (Printf.sprintf "DECIDE from %d" src) 0
+        (nsends (Aba.handle s ~src (Aba.Decide true))))
+    [ -1; n ];
+  Alcotest.(check (option bool)) "no decision" None (Aba.decision s);
+  let s = aba_awaiting_aux () in
+  ignore (Aba.handle s ~src:(-1) (aux 1 true));
+  ignore (Aba.handle s ~src:n (aux 1 true));
+  Alcotest.(check (option bool)) "AUX from -1 and n: round 1 open" None (Aba.decision s);
+  Alcotest.(check int) "still round 1" 1 (Aba.round s)
+
+let test_aba_far_round_is_sparse () =
+  (* a Byzantine BVAL may name any round: it costs one round record *)
+  let s = fresh_aba () in
+  ignore (Aba.handle s ~src:1 (bval 1 true));
+  let before = Obj.reachable_words (Obj.repr s) in
+  ignore (Aba.handle s ~src:1 (bval 1_000_000 true));
+  let grown = Obj.reachable_words (Obj.repr s) - before in
+  Alcotest.(check bool) (Printf.sprintf "round 10^6 costs %d words" grown) true (grown < 64);
+  Alcotest.(check int) "current round unchanged" 0 (Aba.round s)
+
 (* --- ACS --- *)
 
 let acs_honest ~n ~f ~me ~coin ~value ~outputs =
@@ -186,6 +261,10 @@ let () =
           Alcotest.test_case "crash tolerance" `Quick test_crash_tolerance;
           Alcotest.test_case "local coin" `Quick test_local_coin_terminates;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "duplicates count once" `Quick test_aba_duplicates_count_once;
+          Alcotest.test_case "self AUX replaces" `Quick test_aba_self_aux_replaces;
+          Alcotest.test_case "out-of-range src ignored" `Quick test_aba_ignores_out_of_range_src;
+          Alcotest.test_case "far round is sparse" `Quick test_aba_far_round_is_sparse;
         ] );
       ( "acs",
         [

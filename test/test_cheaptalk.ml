@@ -210,6 +210,157 @@ let test_recommendation_privacy_structure () =
     (Hashtbl.mem seen (1, 0) && Hashtbl.mem seen (1, 1));
   Alcotest.(check bool) "(0,0) never occurs" false (Hashtbl.mem seen (0, 0))
 
+(* --- golden outcome digests --- *)
+
+(* Compiled sessions built as the served-session benchmark builds them:
+   Thm 4.1 plans, all-zero types, coin seed = seed * 7919, and E3's
+   attacker (every AVSS cross point +5, every output share +1). *)
+let coord5 =
+  lazy (Compile.plan_exn ~spec:(Spec.coordination ~n:5) ~theorem:Compile.T41 ~k:0 ~t:1 ())
+
+let mm9 =
+  lazy (Compile.plan_exn ~spec:(Spec.majority_match ~n:9) ~theorem:Compile.T41 ~k:1 ~t:1 ())
+
+let e3_attack p =
+  Adversary.Byzantine.corrupt_output_shares ~offset:Field.Gf.one
+    (Adversary.Byzantine.corrupt_avss_points ~offset:(Field.Gf.of_int 5) p)
+
+let session_config ?faults ?attacker ?record plan ~scheduler ~seed =
+  let n = plan.Compile.spec.Spec.game.Games.Game.n in
+  let procs = Compile.processes plan ~types:(Array.make n 0) ~coin_seed:(seed * 7919) ~seed in
+  Option.iter (fun a -> procs.(a) <- e3_attack procs.(a)) attacker;
+  Sim.Runner.config ?faults ?record ~scheduler procs
+
+let outcome_repr o = Transport.Differential.outcome_repr ~show:string_of_int o
+let repr_digest o = Digest.to_hex (Digest.string (outcome_repr o))
+
+(* Whole outcomes (termination, moves, counts, metrics and the full
+   trace) pinned to the digests these runs had before settle-on-change,
+   history-only-for-readers and dense ABA state, none of which may
+   change them. *)
+let test_golden_digests () =
+  let run ?faults ?attacker plan scheduler seed =
+    Sim.Runner.run (session_config ?faults ?attacker (Lazy.force plan) ~scheduler ~seed)
+  in
+  let check name expected got = Alcotest.(check string) name expected got in
+  List.iter
+    (fun (sname, mk, digests) ->
+      List.iteri
+        (fun i expected ->
+          let seed = i + 1 in
+          check (Printf.sprintf "coord5 %s seed %d" sname seed) expected
+            (repr_digest (run coord5 (mk seed) seed)))
+        digests)
+    [
+      ( "random",
+        Sim.Scheduler.random_seeded,
+        [
+          "4397d8ace8cc9114f217875ac5b25983";
+          "17b4d196ee835b44712f29553a6cea8b";
+          "a26de5bfeaefcc00878f6c1a59eac59e";
+          "a85c511b35852b4e2b4439a6d9956536";
+        ] );
+      ( "fifo",
+        (fun _ -> Sim.Scheduler.fifo ()),
+        [
+          "9354744071d6fcf62e73b2960ce78d1a";
+          "90dbd959d8e11af7a6204cf19f5eeabb";
+          "90dbd959d8e11af7a6204cf19f5eeabb";
+          "9354744071d6fcf62e73b2960ce78d1a";
+        ] );
+      ( "adaptive-laggard",
+        (fun seed -> Sim.Scheduler.adaptive_laggard (Random.State.make [| seed |])),
+        [
+          "4d96facfbf7309101942708b6e377d8b";
+          "3f97059235529a2d258ede66320d6265";
+          "ed6184db53f44139adde4cf806d63e67";
+          "ee62fcd2763dca29d4a19a57c1f270b1";
+        ] );
+    ];
+  let faults = Faults.Plan.make ~seed:3 (Faults.make ~dup:0.05 ~delay:0.05 ()) in
+  let o = run ~faults coord5 (Sim.Scheduler.random_seeded 1) 1 in
+  Alcotest.(check bool) "the plan duplicated and delayed messages" true
+    (o.Sim.Types.metrics.Obs.Metrics.injected_dup > 0
+    && o.Sim.Types.metrics.Obs.Metrics.injected_delay > 0);
+  check "coord5 random seed 1, delay+dup faults" "0beb522163fe3b1319dc743f3dab68da"
+    (repr_digest o);
+  check "mm9-byz random seed 1, E3 attacker" "febde592062e738df8ea3e8a3a54fd66"
+    (repr_digest (run ~attacker:8 mm9 (Sim.Scheduler.random_seeded 1) 1))
+
+(* --- scheduler history declarations --- *)
+
+(* A scheduler's [history] flag only says whether its [choose] reads
+   [~history]; re-wrapping every library scheduler as a reader (same
+   [choose], fresh state from the same seed) must leave every outcome
+   byte-identical. *)
+let test_history_declarations_unobservable () =
+  let schedulers seed =
+    let rng = Random.State.make [| seed |] in
+    Sim.Scheduler.standard_library rng
+    @ [
+        Sim.Scheduler.relaxed_stop_after 500;
+        Sim.Scheduler.relaxed_random ~stop_prob:0.001 (Random.State.make [| seed; 1 |]);
+      ]
+  in
+  List.iter
+    (fun seed ->
+      List.iter2
+        (fun (built : Sim.Scheduler.t) (fresh : Sim.Scheduler.t) ->
+          let reader =
+            Sim.Scheduler.custom ~reset:fresh.reset ~history:true ~name:fresh.name
+              ~relaxed:fresh.relaxed fresh.choose
+          in
+          let repr scheduler =
+            outcome_repr (Sim.Runner.run (session_config (Lazy.force coord5) ~scheduler ~seed))
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d: as built = as a history reader" built.name seed)
+            (repr built) (repr reader))
+        (schedulers seed) (schedulers seed))
+    [ 1; 2 ]
+
+(* The runner passes [[]] to a scheduler that declares it reads no
+   history, and the history to one that does. *)
+let test_history_false_gets_empty () =
+  let saw_history = ref false in
+  let scheduler history =
+    saw_history := false;
+    Sim.Scheduler.custom ~history ~name:"oldest" ~relaxed:false (fun ~step:_ ~history ~pending ->
+        if history <> [] then saw_history := true;
+        Sim.Types.Deliver (Sim.Pending_set.oldest pending).Sim.Types.id)
+  in
+  let run history =
+    ignore
+      (Sim.Runner.run
+         (session_config (Lazy.force coord5) ~scheduler:(scheduler history) ~seed:1));
+    !saw_history
+  in
+  Alcotest.(check bool) "~history:false receives []" false (run false);
+  Alcotest.(check bool) "~history:true receives the history" true (run true)
+
+(* [record] governs only the trace: adaptive_laggard reads its history
+   with the trace off too, so its run is the recorded run's. *)
+let test_laggard_history_without_trace () =
+  List.iter
+    (fun seed ->
+      let run record =
+        Sim.Runner.run
+          (session_config ~record (Lazy.force coord5)
+             ~scheduler:(Sim.Scheduler.adaptive_laggard (Random.State.make [| seed |]))
+             ~seed)
+      in
+      let on = run true and off = run false in
+      Alcotest.(check (array (option int)))
+        (Printf.sprintf "seed %d: same moves" seed)
+        on.Sim.Types.moves off.Sim.Types.moves;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: same deterministic metrics" seed)
+        (Obs.Metrics.det_repr on.Sim.Types.metrics)
+        (Obs.Metrics.det_repr off.Sim.Types.metrics);
+      Alcotest.(check bool) (Printf.sprintf "seed %d: no trace when off" seed) true
+        (off.Sim.Types.trace = []))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "cheaptalk"
     [
@@ -237,4 +388,13 @@ let () =
       ( "approaches",
         [ Alcotest.test_case "agree without deadlock" `Quick test_approaches_agree_without_deadlock ] );
       ("privacy", [ Alcotest.test_case "recommendations hidden" `Quick test_recommendation_privacy_structure ]);
+      ("golden", [ Alcotest.test_case "outcome digests" `Quick test_golden_digests ]);
+      ( "history",
+        [
+          Alcotest.test_case "declarations unobservable" `Quick
+            test_history_declarations_unobservable;
+          Alcotest.test_case "history:false receives []" `Quick test_history_false_gets_empty;
+          Alcotest.test_case "laggard reads history without the trace" `Quick
+            test_laggard_history_without_trace;
+        ] );
     ]

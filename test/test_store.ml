@@ -369,6 +369,7 @@ let booby_trapped =
   {
     Scheduler.name = "booby-trapped";
     relaxed = false;
+    history = false;
     reset = (fun () -> ());
     choose = (fun ~step:_ ~history:_ ~pending:_ -> failwith "scheduler consulted");
   }
