@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-all: build lint check par-check live-check chaos throughput-check store-check alloc-check perf-gate
+all: build lint check par-check chaos throughput-check store-check alloc-check perf-gate
 
 build:
 	dune build @all
@@ -17,16 +17,23 @@ par-check:
 # compare/hash off the hot paths (DESIGN.md section 17), keep one
 # decision loop (lib/transport and lib/engine never call a scheduler's
 # choose; they run sessions through Runner.run, DESIGN.md section 14),
-# keep lib/ timing on the monotonic clock (no Unix.gettimeofday: a clock
-# step would corrupt a measured duration or a watchdog), run the
-# analyzers over the bundled examples (non-zero exit on error findings),
-# and the analysis test suite (race detector vs Sim.Explore ground
-# truth).
+# keep the Live backend to its one caller (no .ml under lib/ or bin/
+# outside lib/transport and lib/engine names it: only the served-session
+# benchmark's coord5-live workload runs Live, and the benchmark change
+# that drops that workload deletes it, DESIGN.md section 14), keep lib/
+# timing on the monotonic clock (no Unix.gettimeofday: a clock step
+# would corrupt a measured duration or a watchdog), run the analyzers
+# over the bundled examples (non-zero exit on error findings), and the
+# analysis test suite (race detector vs Sim.Explore ground truth).
 lint:
 	dune build @check
 	scripts/poly_compare_check.sh
 	@if grep -rnE --include='*.ml' '\.choose\b|\bchoose[[:space:]]+~' lib/transport lib/engine; then \
 	  echo "lint: lib/transport or lib/engine calls a scheduler's choose (run sessions through Runner.run)" >&2; \
+	  exit 1; \
+	fi
+	@if grep -rnE --include='*.ml' 'Transport\.Live|Backend\.Live' lib bin | grep -vE '^lib/(transport|engine)/'; then \
+	  echo "lint: only lib/transport and lib/engine may name the Live backend (run sessions on the simulator; Live stays for the served-session benchmark's coord5-live workload until the benchmark change removes it for good)" >&2; \
 	  exit 1; \
 	fi
 	@if grep -rn --include='*.ml' 'Unix\.gettimeofday' lib; then \
@@ -35,17 +42,6 @@ lint:
 	fi
 	dune exec bin/ctmed.exe -- lint
 	dune exec test/test_analysis.exe -- -c
-
-# Differential live-vs-sim check (DESIGN.md section 14): the transport
-# test suite (per-seed byte-identity of the effects/domains backend
-# against the discrete-event simulator across the toy / E1-small / chaos
-# families, every decision-loop branch, teardown of blocked fibers, the
-# session engine), then the serve smoke — the engine digest against a
-# sequential unsharded non-recycled sim run, and every served seed run
-# on sim and live and compared byte-for-byte.
-live-check:
-	dune exec test/test_transport.exe
-	dune exec bin/ctmed.exe -- serve --smoke
 
 # Chaos suite (DESIGN.md section 11): fault-injection sweep at the smoke
 # budget, byte-identical across -j (diff), then the graceful-degradation
@@ -63,24 +59,33 @@ chaos:
 # Model checker over the fixture catalog (DESIGN.md section 13): DPOR
 # verdicts for the quorum-vote fixtures, the relaxed mediator game
 # (STOP-batch atomicity) and the section 6.4 coalition stall; exits
-# non-zero when any verdict contradicts its expectation.
+# non-zero when any verdict contradicts its expectation. The backend
+# flags are exclusive: two of them together must fail to parse
+# (cmdliner's exit 124) rather than one silently overriding the other.
 check:
 	dune exec bin/ctmed.exe -- check
+	@dune exec bin/ctmed.exe -- check --naive --graph >/dev/null 2>&1; \
+	  st=$$?; \
+	  if [ $$st -ne 124 ]; then \
+	    echo "check: --naive --graph should fail to parse with exit 124, got $$st" >&2; exit 1; \
+	  fi; \
+	  echo "check: --naive --graph rejected with exit 124, as required"
 
 # Sharded engine check (DESIGN.md section 15): the THROUGHPUT table —
 # whose rows are digest comparisons of the sharded engine against a
-# sequential reference across backend/shard shapes — must itself be
+# sequential reference across shard shapes — must itself be
 # byte-identical at any -j, and serve at 4 shards must reproduce the
-# sequential unsharded aggregate byte-for-byte (--smoke).
+# sequential unsharded non-recycled aggregate byte-for-byte (--smoke).
 throughput-check:
 	dune exec bench/main.exe -- smoke throughput -j 4 diff
 	dune exec bin/ctmed.exe -- serve --smoke --shards 4 --jobs 2
 
 # Durability check (DESIGN.md section 16): journal a run, replay it
-# (including after tearing the final record off the store), then, on
-# each backend, SIGKILL a checkpointed `serve --journal` mid-flight,
-# resume it, and diff the deterministic digest against an uninterrupted
-# run.
+# (including after tearing the final record off the store), then SIGKILL
+# a checkpointed `serve --journal` as soon as its first shard checkpoint
+# lands, require an unfinished shard, give the manifest the fields an
+# older live journal carried, resume it, and diff the deterministic
+# digest against an uninterrupted run.
 store-check:
 	dune build bin/ctmed.exe
 	scripts/store_check.sh
@@ -138,4 +143,4 @@ examples:
 clean:
 	dune clean
 
-.PHONY: all build lint check par-check live-check chaos throughput-check store-check alloc-check perf-gate test test-verbose bench bench-full bench-csv bench-json examples clean
+.PHONY: all build lint check par-check chaos throughput-check store-check alloc-check perf-gate test test-verbose bench bench-full bench-csv bench-json examples clean

@@ -22,9 +22,9 @@ let specs : (string * (unit -> Mediator.Spec.t)) list =
 
 let experiment_ids = [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "a1" ]
 
-(* explicit-only: the fault-injection sweep and the live-transport
-   differential run when named, never as part of "all experiments" *)
-let chaos_ids = [ "chaos"; "hang"; "live" ]
+(* explicit-only: the fault-injection sweep and its hung-trial probe
+   run when named, never as part of "all experiments" *)
+let chaos_ids = [ "chaos"; "hang" ]
 
 (* --- list --- *)
 
@@ -289,7 +289,6 @@ let experiment_cmd =
       | "a1" -> Some Experiments.A1.run
       | "chaos" -> Some Experiments.Chaos.run
       | "hang" -> Some Experiments.Chaos.run_hang
-      | "live" -> Some Experiments.Livediff.run
       | _ -> None
     in
     let degraded = ref 0 in
@@ -613,22 +612,25 @@ let check_cmd =
     "Model-check the fixture catalog: dynamic partial-order reduction (default) with state \
      fingerprinting, deadlock/starvation verdicts and minimized counterexample traces; \
      $(b,--naive) swaps in the Sim.Explore reference enumeration and $(b,--graph) the \
-     fingerprint-keyed breadth-first search. Exits non-zero when any fixture's verdict \
-     contradicts its expectation."
+     fingerprint-keyed breadth-first search (the three backend flags are exclusive). Exits \
+     non-zero when any fixture's verdict contradicts its expectation."
   in
   let fixtures_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FIXTURE" ~doc:"fixture names (default: all; see ctmed list)")
   in
-  let naive_arg =
-    Arg.(value & flag & info [ "naive" ] ~doc:"use the Sim.Explore reference backend")
-  in
-  let dpor_arg =
-    Arg.(value & flag & info [ "dpor" ] ~doc:"use partial-order reduction (the default)")
-  in
-  let graph_arg =
-    Arg.(value & flag & info [ "graph" ] ~doc:"use the fingerprint-keyed state search")
+  (* one flag, at most once: two backend flags together fail to parse *)
+  let backend_arg =
+    Arg.(
+      value
+      & vflag Analysis.Mc.Dpor
+          [
+            ( Analysis.Mc.Dpor,
+              info [ "dpor" ] ~doc:"use partial-order reduction (the default)" );
+            (Analysis.Mc.Naive, info [ "naive" ] ~doc:"use the Sim.Explore reference backend");
+            (Analysis.Mc.Graph, info [ "graph" ] ~doc:"use the fingerprint-keyed state search");
+          ])
   in
   let max_states_arg =
     Arg.(
@@ -641,17 +643,11 @@ let check_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"print the full canonical verdict")
   in
-  let run names naive dpor graph max_states jobs verbose =
-    ignore dpor;
+  let run names backend max_states jobs verbose =
     if jobs < 1 then (
       Printf.eprintf "ctmed check: -j must be >= 1\n";
       exit 2);
     let module Check = Experiments.Check in
-    let backend =
-      if naive then Analysis.Mc.Naive
-      else if graph then Analysis.Mc.Graph
-      else Analysis.Mc.Dpor
-    in
     let names = if names = [] then Check.names else names in
     let failed = ref false in
     Parallel.Pool.with_pool ~domains:jobs (fun pool ->
@@ -688,30 +684,25 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ fixtures_arg $ naive_arg $ dpor_arg $ graph_arg $ max_states_arg
-      $ jobs_arg $ verbose_arg)
+      const run $ fixtures_arg $ backend_arg $ max_states_arg $ jobs_arg $ verbose_arg)
 
 (* --- serve --- *)
 
-(* Every session runs through the sharded session engine: seeds
-   0..N-1 are split into shard ranges over the pool and each session
-   compiles a fresh cheap-talk game from (spec, seed), so the digest is a
-   pure function of the seeds whatever the shards or -j. Completed
-   sessions fold into bounded-memory aggregates as they finish, which is
-   the shape that scales to millions of sessions. *)
+(* Every session runs on the simulator through the sharded session
+   engine: seeds 0..N-1 are split into shard ranges over the pool and
+   each session compiles a fresh cheap-talk game from (spec, seed), so
+   the digest is a pure function of the seeds whatever the shards or -j.
+   Completed sessions fold into bounded-memory aggregates as they finish,
+   which is the shape that scales to millions of sessions. *)
 let serve_cmd =
-  let doc =
-    "Serve mediator-game sessions through the sharded session engine (live backend by \
-     default)."
-  in
+  let doc = "Serve mediator-game sessions through the sharded session engine." in
   let smoke_arg =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "self-check: serve a small batch, verify the digest against a sequential \
-             unsharded non-recycled sim run and every served seed byte-identical on sim \
-             and live")
+            "self-check: serve a small batch and verify the digest against a sequential \
+             unsharded non-recycled run")
   in
   let sessions_arg =
     Arg.(
@@ -729,9 +720,6 @@ let serve_cmd =
       value
       & opt int (Domain.recommended_domain_count ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"domains running shards in parallel")
-  in
-  let backend_arg =
-    Arg.(value & opt string "live" & info [ "backend" ] ~docv:"B" ~doc:"sim or live")
   in
   let shards_arg =
     Arg.(
@@ -757,9 +745,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "resume" ] ~docv:"DIR"
           ~doc:
-            "continue a run from the checkpoints in $(docv); sessions, shards, \
-             backend, spec and checkpoint cadence are taken from the journal's \
-             manifest (the matching CLI flags are ignored)")
+            "continue a run from the checkpoints in $(docv); sessions, shards, spec \
+             and checkpoint cadence are taken from the journal's manifest (the \
+             matching CLI flags are ignored)")
   in
   let checkpoint_arg =
     Arg.(
@@ -781,7 +769,7 @@ let serve_cmd =
     in
     Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs
   in
-  let serve ~plan ~spec_name ~backend ~sessions ~shards ~jobs ~smoke ~journal ~resume
+  let serve ~plan ~spec_name ~sessions ~shards ~jobs ~smoke ~journal ~resume
       ~checkpoint_every =
     let make = mk_config plan in
     let profile = Transport.Differential.profile ~show in
@@ -798,7 +786,7 @@ let serve_cmd =
     let meta = Obs.Json.Obj [ ("spec", Obs.Json.String spec_name) ] in
     match
       Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-          Engine.run ~backend ~shards ~pool ?journal ~checkpoint_every ~resume
+          Engine.run ~shards ~pool ?journal ~checkpoint_every ~resume
             ~kill_switch:(fun () -> Atomic.get stop)
             ~on_warning:(fun w -> Printf.eprintf "ctmed serve: warning: %s\n%!" w)
             ~meta ~sessions ~make ~profile ())
@@ -808,10 +796,8 @@ let serve_cmd =
           (Option.get journal);
         exit 0
     | stats ->
-        Printf.printf "served %d/%d sessions (%s backend, %d shards, -j %d) for %s\n"
-          stats.Engine.completed sessions
-          (Transport.Backend.to_string backend)
-          shards jobs spec_name;
+        Printf.printf "served %d/%d sessions (%d shards, -j %d) for %s\n"
+          stats.Engine.completed sessions shards jobs spec_name;
         List.iter
           (fun (p, c) -> Printf.printf "  %6d  %s\n" c p)
           stats.Engine.profiles;
@@ -828,22 +814,12 @@ let serve_cmd =
           let identical =
             String.equal (Engine.det_repr reference) (Engine.det_repr stats)
           in
-          let diff =
-            Transport.Differential.run ~a:Transport.Backend.Sim ~b:Transport.Backend.Live
-              ~show ~seeds:(0, sessions)
-              (fun seed -> make ~seed)
-          in
-          let mismatches = List.length diff.Transport.Differential.mismatches in
-          Printf.printf
-            "smoke: aggregate %s sequential unsharded non-recycled sim run · %d/%d seeds \
-             byte-identical sim vs live\n"
-            (if identical then "byte-identical to" else "DIVERGED from")
-            (sessions - mismatches) sessions;
-          if not (identical && Transport.Differential.ok diff) then exit 1
+          Printf.printf "smoke: aggregate %s sequential unsharded non-recycled run\n"
+            (if identical then "byte-identical to" else "DIVERGED from");
+          if not identical then exit 1
         end
   in
-  let run smoke sessions spec_name jobs backend_name shards journal resume_dir
-      checkpoint_every =
+  let run smoke sessions spec_name jobs shards journal resume_dir checkpoint_every =
     if jobs < 1 || sessions < 1 then begin
       Printf.eprintf "ctmed serve: --jobs/--sessions must be >= 1\n";
       exit 2
@@ -860,20 +836,13 @@ let serve_cmd =
       Printf.eprintf "ctmed serve: --journal and --resume are mutually exclusive\n";
       exit 2
     end;
-    let backend =
-      match Transport.Backend.of_string backend_name with
-      | b -> b
-      | exception Invalid_argument _ ->
-          Printf.eprintf "ctmed serve: unknown backend %s (sim|live)\n" backend_name;
-          exit 2
-    in
     (* a resume takes every deterministic parameter from the journal's
        manifest — only -j (environmental) still comes from the CLI *)
-    let spec_name, backend, sessions, shards, journal, resume, checkpoint_every =
+    let spec_name, sessions, shards, journal, resume, checkpoint_every =
       match resume_dir with
       | None ->
           let shards = Option.value shards ~default:jobs in
-          (spec_name, backend, sessions, shards, journal, false, checkpoint_every)
+          (spec_name, sessions, shards, journal, false, checkpoint_every)
       | Some dir ->
           let manifest =
             try Engine.load_manifest ~dir
@@ -891,15 +860,6 @@ let serve_cmd =
                   dir name;
                 exit 1
           in
-          let backend =
-            let name = field "backend" Obs.Json.to_string_opt in
-            match Transport.Backend.of_string name with
-            | b -> b
-            | exception Invalid_argument _ ->
-                Printf.eprintf
-                  "ctmed serve: unrecoverable journal %s: unknown backend %s\n" dir name;
-                exit 1
-          in
           let spec =
             match
               Option.bind (Obs.Json.member "workload" manifest) (fun w ->
@@ -914,7 +874,6 @@ let serve_cmd =
                 exit 1
           in
           ( spec,
-            backend,
             field "sessions" Obs.Json.to_int_opt,
             field "shards" Obs.Json.to_int_opt,
             Some dir,
@@ -932,13 +891,13 @@ let serve_cmd =
             exit 2
         | plan ->
             let sessions = if smoke then min sessions 8 else sessions in
-            serve ~plan ~spec_name ~backend ~sessions ~shards ~jobs ~smoke ~journal ~resume
+            serve ~plan ~spec_name ~sessions ~shards ~jobs ~smoke ~journal ~resume
               ~checkpoint_every)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ smoke_arg $ sessions_arg $ spec_arg $ jobs_arg $ backend_arg
-      $ shards_arg $ journal_arg $ resume_arg $ checkpoint_arg)
+      const run $ smoke_arg $ sessions_arg $ spec_arg $ jobs_arg $ shards_arg
+      $ journal_arg $ resume_arg $ checkpoint_arg)
 
 (* --- replay --- *)
 

@@ -55,7 +55,7 @@ let fuzz_msg ~src:_ ~dst:_ ~seq:_ (m : Mpc.Engine.msg) =
       Mpc.Engine.Share_msg (sid, Mpc.Avss.Point (Field.Gf.add p Field.Gf.one))
   | Mpc.Engine.Share_msg _ | Mpc.Engine.Vote_msg _ -> m
 
-let run_with ?(check_runs = default_check_runs) ?backend ?faults ?fuel ?wall_limit p
+let run_with ?(check_runs = default_check_runs) ?faults ?fuel ?wall_limit p
     ~types ~scheduler ~seed ~replace =
   let honest = Compile.processes p ~types ~coin_seed:(seed * 7919) ~seed in
   let procs =
@@ -65,7 +65,7 @@ let run_with ?(check_runs = default_check_runs) ?backend ?faults ?fuel ?wall_lim
      a pure function of its seed (determinism contract, DESIGN.md §9) *)
   let fplan = Option.map (Faults.Plan.make ~seed) faults in
   let o =
-    Transport.Backend.run ?backend
+    Sim.Runner.run
       (Sim.Runner.config ~scheduler ?faults:fplan ~fuzz:fuzz_msg ?fuel ?wall_limit procs)
   in
   if check_runs then lint_outcome o;
@@ -78,8 +78,8 @@ let run_with ?(check_runs = default_check_runs) ?backend ?faults ?fuel ?wall_lim
       | Sim.Types.All_halted | Sim.Types.Quiescent -> false);
   }
 
-let run_once ?check_runs ?backend ?faults ?fuel ?wall_limit p ~types ~scheduler ~seed =
-  run_with ?check_runs ?backend ?faults ?fuel ?wall_limit p ~types ~scheduler ~seed
+let run_once ?check_runs ?faults ?fuel ?wall_limit p ~types ~scheduler ~seed =
+  run_with ?check_runs ?faults ?fuel ?wall_limit p ~types ~scheduler ~seed
     ~replace:(fun _ -> None)
 
 let metrics r = r.outcome.Sim.Types.metrics
@@ -175,12 +175,12 @@ let fold_metrics agg results =
   | None -> ()
   | Some agg -> Array.iter (fun (_, m) -> Obs.Agg.add agg m) results
 
-let empirical_action_dist ?check_runs ?pool ?metrics:agg ?backend ?faults p ~types
+let empirical_action_dist ?check_runs ?pool ?metrics:agg ?faults p ~types
     ~samples ~scheduler_of ~seed =
   let trials =
     map_trials ?pool ~samples ~seed (fun s ->
         let r =
-          run_once ?check_runs ?backend ?faults p ~types ~scheduler:(scheduler_of s)
+          run_once ?check_runs ?faults p ~types ~scheduler:(scheduler_of s)
             ~seed:s
         in
         (r.actions, metrics r))
@@ -190,13 +190,13 @@ let empirical_action_dist ?check_runs ?pool ?metrics:agg ?backend ?faults p ~typ
   Array.iter (fun (actions, _) -> Dist.Empirical.add emp actions) trials;
   Dist.Empirical.to_dist emp
 
-let implementation_distance ?check_runs ?pool ?metrics ?backend ?faults p ~types
+let implementation_distance ?check_runs ?pool ?metrics ?faults p ~types
     ~samples ~scheduler_of ~seed =
   match Mediator.Measure.exact_action_dist p.Compile.spec ~types with
   | None -> invalid_arg "Verify.implementation_distance: randomness not enumerable"
   | Some exact ->
       let empirical =
-        empirical_action_dist ?check_runs ?pool ?metrics ?backend ?faults p ~types
+        empirical_action_dist ?check_runs ?pool ?metrics ?faults p ~types
           ~samples ~scheduler_of ~seed
       in
       Dist.l1 exact empirical
@@ -209,7 +209,7 @@ let draw_types (game : Games.Game.t) rng =
   in
   pick 0.0 game.Games.Game.type_dist
 
-let expected_utilities ?check_runs ?pool ?metrics:agg ?backend ?faults p ~samples
+let expected_utilities ?check_runs ?pool ?metrics:agg ?faults p ~samples
     ~scheduler_of ~seed ?(replace = fun _ -> None) () =
   let game = p.Compile.spec.Spec.game in
   let n = game.Games.Game.n in
@@ -220,7 +220,7 @@ let expected_utilities ?check_runs ?pool ?metrics:agg ?backend ?faults p ~sample
         let rng = Random.State.make [| 0xFEED; seed; s |] in
         let types = draw_types game rng in
         let r =
-          run_with ?check_runs ?backend ?faults p ~types ~scheduler:(scheduler_of s)
+          run_with ?check_runs ?faults p ~types ~scheduler:(scheduler_of s)
             ~seed:s ~replace
         in
         (game.Games.Game.utility ~types ~actions:r.actions, metrics r))

@@ -28,7 +28,6 @@ type run = {
 
 val run_once :
   ?check_runs:bool ->
-  ?backend:Transport.Backend.t ->
   ?faults:Faults.config ->
   ?fuel:int ->
   ?wall_limit:float ->
@@ -38,14 +37,8 @@ val run_once :
   seed:int ->
   run
 (** One cheap-talk history with all players honest. [seed] derives both
-    the players' secret randomness and the shared coin.
-
-    [?backend] selects the transport the history executes on
-    ([Transport.Backend.Sim] by default, the in-process simulator;
-    [Live] hosts every player on an effects fiber). The outcome is a
-    pure function of the seed on either backend — the differential
-    suites hold this to byte identity — so measurements may mix
-    backends freely.
+    the players' secret randomness and the shared coin. The history
+    runs on the simulator ({!Sim.Runner.run}).
 
     [?faults] injects channel-level faults: a {!Faults.Plan} is derived
     from the trial seed, so a faulted trial is still a pure function of
@@ -59,7 +52,6 @@ val run_once :
 
 val run_with :
   ?check_runs:bool ->
-  ?backend:Transport.Backend.t ->
   ?faults:Faults.config ->
   ?fuel:int ->
   ?wall_limit:float ->
@@ -171,7 +163,6 @@ val empirical_action_dist :
   ?check_runs:bool ->
   ?pool:Parallel.Pool.t ->
   ?metrics:Obs.Agg.t ->
-  ?backend:Transport.Backend.t ->
   ?faults:Faults.config ->
   Compile.plan ->
   types:int array ->
@@ -184,7 +175,6 @@ val implementation_distance :
   ?check_runs:bool ->
   ?pool:Parallel.Pool.t ->
   ?metrics:Obs.Agg.t ->
-  ?backend:Transport.Backend.t ->
   ?faults:Faults.config ->
   Compile.plan ->
   types:int array ->
@@ -202,7 +192,6 @@ val expected_utilities :
   ?check_runs:bool ->
   ?pool:Parallel.Pool.t ->
   ?metrics:Obs.Agg.t ->
-  ?backend:Transport.Backend.t ->
   ?faults:Faults.config ->
   Compile.plan ->
   samples:int ->

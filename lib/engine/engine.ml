@@ -91,7 +91,6 @@ exception Interrupted
 
 let manifest_path dir = Filename.concat dir "manifest.json"
 let shard_path dir shard = Filename.concat dir (Printf.sprintf "shard-%04d.json" shard)
-let backend_name = function Transport.Backend.Sim -> "sim" | Transport.Backend.Live -> "live"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -175,18 +174,19 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 1)
   | Some dir ->
       if resume then begin
         (* The deterministic parameters must match the original run, or
-           the shard ranges (and hence the digest) would change. *)
+           the shard ranges (and hence the digest) would change. A
+           "backend" field, which older manifests carry, is ignored:
+           Live and Sim sessions are equal by construction. *)
         let m = load_manifest ~dir in
         let int k = Option.bind (Obs.Json.member k m) Obs.Json.to_int_opt in
-        let str k = Option.bind (Obs.Json.member k m) Obs.Json.to_string_opt in
-        match (int "sessions", int "shards", str "backend") with
-        | Some s, Some sh, Some b ->
-            if s <> sessions || sh <> shards || b <> backend_name backend then
+        match (int "sessions", int "shards") with
+        | Some s, Some sh ->
+            if s <> sessions || sh <> shards then
               invalid_arg
                 (Printf.sprintf
-                   "Engine.run: resume parameters (sessions=%d shards=%d backend=%s) do not \
-                    match the journal manifest (sessions=%d shards=%d backend=%s)"
-                   sessions shards (backend_name backend) s sh b)
+                   "Engine.run: resume parameters (sessions=%d shards=%d) do not match the \
+                    journal manifest (sessions=%d shards=%d)"
+                   sessions shards s sh)
         | _ -> failwith "unrecoverable journal: manifest is missing run parameters"
       end
       else begin
@@ -197,7 +197,6 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 1)
                ("version", Obs.Json.Int 1);
                ("sessions", Obs.Json.Int sessions);
                ("shards", Obs.Json.Int shards);
-               ("backend", Obs.Json.String (backend_name backend));
                ("checkpoint_every", Obs.Json.Int checkpoint_every);
                ("workload", meta);
              ])

@@ -17,7 +17,8 @@
     Each shard runs its sessions one at a time, in seed order, on the
     run function picked once per shard: {!Sim.Runner.run} on Sim,
     {!Transport.Live.run} ({!Sim.Runner.run} over fiber-hosted
-    processes) on Live.
+    processes) on Live. Only the served-session benchmark's coord5-live
+    workload selects Live; every other caller runs on Sim.
 
     {b Steady-state allocation.} The per-completion fold allocates
     nothing proportional to the session's message count. A workload
@@ -82,9 +83,10 @@ val run :
 (** Run [sessions] sessions with seeds [0 .. sessions-1]. [make] must
     be a pure function of the seed (the usual trial contract).
     Defaults: [backend = Sim], [shards = 1], [recycle = true],
-    [pool = Parallel.Pool.sequential]. [inflight] is accepted for
-    source compatibility and validated, and has no other effect:
-    sessions run one at a time on both backends.
+    [pool = Parallel.Pool.sequential]. [backend] and [inflight] stay
+    for the served-session benchmark, which passes both; [inflight] is
+    validated and has no other effect: sessions run one at a time on
+    both backends.
 
     {b Session recycling} (DESIGN.md §17). With [recycle] (the default)
     each shard reuses driver state across its sessions via one
@@ -100,11 +102,13 @@ val run :
     [checkpoint_every] seeds (default 1024) and after every chunk
     atomically replaces its [shard-NNNN.json] file — the complete
     accumulator state plus the next seed — while [manifest.json] pins
-    the run's deterministic parameters (sessions, shards, backend).
+    the run's deterministic parameters (sessions, shards).
     Sessions run in seed order, so a checkpoint always describes a
     seed-prefix of the shard. A run restarted with
-    [~resume:true] (same sessions/shards/backend) reloads every shard
-    file and continues from the persisted seeds; because within-shard
+    [~resume:true] (same sessions/shards) reloads every shard
+    file and continues from the persisted seeds on [backend]; a
+    ["backend"] field in an older manifest is ignored, since the two
+    backends produce the same sessions. Because within-shard
     fold order is seed order either way, the resumed {!det_repr} is
     byte-identical to an uninterrupted run's — this holds across
     SIGKILL since the worst case merely loses the tail since the last

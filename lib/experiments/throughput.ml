@@ -1,37 +1,33 @@
-(* THROUGHPUT — the many-session engine's scale table (ROADMAP item 2).
+(* THROUGHPUT — the many-session engine's scale table.
 
    Not a paper claim: an infrastructure experiment. The deterministic
-   rows sweep the shard count (and the live backend) over the same
-   session range and check the engine's determinism contract — the
-   aggregate digest must be byte-identical at every shard count, every
-   backend, every -j. Rates and latency are environmental and are
-   reported by [measure_env] (bench folds them into the JSON baseline
-   gate), never in the rows. *)
+   rows sweep the shard count over the same session range and check the
+   engine's determinism contract — the aggregate digest must be
+   byte-identical at every shard count and every -j. Rates and latency
+   are environmental and are reported by [measure_env] (bench folds
+   them into the JSON baseline gate), never in the rows. *)
 
 let sessions_of budget = Common.samples budget 20_000
 
 let make ~seed = Engine.Toy.config ~seed ()
 
-let digest ~ctx ?(recycle = true) ~sessions ~backend ~shards () =
+let digest ~ctx ?(recycle = true) ~sessions ~shards () =
   let s =
-    Engine.run ~backend ~shards ~recycle ~pool:ctx.Common.pool ~sessions ~make
+    Engine.run ~shards ~recycle ~pool:ctx.Common.pool ~sessions ~make
       ~profile:Engine.Toy.profile ()
   in
   (s, Engine.det_repr s)
 
 let run (ctx : Common.ctx) : Common.table =
   let sessions = sessions_of ctx.Common.budget in
-  let reference, ref_repr =
-    digest ~ctx ~sessions ~backend:Transport.Backend.Sim ~shards:1 ()
-  in
+  let reference, ref_repr = digest ~ctx ~sessions ~shards:1 () in
   let agg = Obs.Agg.create () in
   Obs.Agg.merge_into ~dst:agg reference.Engine.agg;
-  let row ?recycle ~backend ~shards () =
-    let s, repr = digest ~ctx ?recycle ~sessions ~backend ~shards () in
+  let row ?recycle ~shards () =
+    let s, repr = digest ~ctx ?recycle ~sessions ~shards () in
     let ok = String.equal repr ref_repr in
     [
-      (let b = Transport.Backend.to_string backend in
-       if recycle = Some false then b ^ "/fresh" else b);
+      (if recycle = Some false then "sim/fresh" else "sim");
       string_of_int shards;
       string_of_int s.Engine.sessions;
       string_of_int s.Engine.completed;
@@ -48,13 +44,11 @@ let run (ctx : Common.ctx) : Common.table =
      at every shard shape it sweeps *)
   let rows =
     [
-      row ~backend:Transport.Backend.Sim ~shards:1 ();
-      row ~backend:Transport.Backend.Sim ~shards:2 ();
-      row ~backend:Transport.Backend.Sim ~shards:4 ();
-      row ~backend:Transport.Backend.Sim ~shards:13 ();
-      row ~recycle:false ~backend:Transport.Backend.Sim ~shards:4 ();
-      row ~backend:Transport.Backend.Live ~shards:2 ();
-      row ~recycle:false ~backend:Transport.Backend.Live ~shards:2 ();
+      row ~shards:1 ();
+      row ~shards:2 ();
+      row ~shards:4 ();
+      row ~shards:13 ();
+      row ~recycle:false ~shards:4 ();
     ]
   in
   let all_identical =
@@ -68,14 +62,13 @@ let run (ctx : Common.ctx) : Common.table =
     title = "Sharded multi-session engine: determinism at scale";
     claim =
       "engine aggregates are a pure function of (sessions, seeds): byte-identical \
-       at any shard count, backend and -j";
+       at any shard count and -j";
     header = [ "backend"; "shards"; "sessions"; "completed"; "delivered"; "steps p50/p99"; "digest" ];
     rows;
     verdict =
       (if all_identical && all_completed then
-         Printf.sprintf "PASS: %d toy sessions, every shard/backend digest identical"
-           sessions
-       else if not all_identical then "FAIL: shard/backend digests diverged"
+         Printf.sprintf "PASS: %d toy sessions, every shard digest identical" sessions
+       else if not all_identical then "FAIL: shard digests diverged"
        else "FAIL: sessions lost");
     metrics = Common.metrics_of agg;
     complexity = [];

@@ -1,22 +1,14 @@
-(** The pluggable transport registry.
+(** The session backend selector of [Engine.run].
 
-    A backend is a way of executing one {!Sim.Runner.config} to an
-    outcome. Two ship today: the in-process discrete-event simulator
-    ({!Sim.Runner.run} itself) and the effects/domains {!Live} runtime.
-    The determinism contract is backend-independent — for any config
-    whose [wall_limit] is unset, both backends produce byte-identical
-    outcomes, traces and deterministic metrics on the same seed, since
-    {!Live.run} is {!Sim.Runner.run} over fiber-hosted processes; the
-    {!Differential} harness checks it. *)
+    [Sim] runs a session with {!Sim.Runner.run}, [Live] with {!Live.run},
+    which is {!Sim.Runner.run} over fiber-hosted processes, so the two
+    produce byte-identical outcomes, traces and deterministic metrics on
+    the same seed by construction. Only the served-session benchmark's
+    coord5-live workload selects [Live]; everything else in the repo runs
+    on the simulator. The benchmark change that drops that workload
+    deletes this type (DESIGN.md §14). *)
 
 type t = Sim | Live
 
 val to_string : t -> string
-
-val of_string : string -> t
-(** Accepts ["sim"] and ["live"].
-    @raise Invalid_argument on anything else. *)
-
-val run : ?backend:t -> ('m, 'a) Sim.Runner.config -> 'a Sim.Types.outcome
-(** Execute one complete history on the chosen backend (default
-    [Sim]). *)
+(** ["sim"] or ["live"]. *)

@@ -46,96 +46,3 @@ let profile ~show (o : 'a Sim.Types.outcome) =
   Printf.sprintf "%s [%s]"
     (term_repr o.Sim.Types.termination)
     (moves_repr show o.Sim.Types.moves)
-
-type report = {
-  backend_a : Backend.t;
-  backend_b : Backend.t;
-  seeds : int * int;
-  mismatches : (int * string * string) list;
-  dist_a : (string * int) list;
-  dist_b : (string * int) list;
-  metrics_a : Obs.Metrics.t;
-  metrics_b : Obs.Metrics.t;
-  wall_a : float;
-  wall_b : float;
-}
-
-let dist_of profiles =
-  let tbl = Hashtbl.create 32 in
-  Array.iter
-    (fun p ->
-      Hashtbl.replace tbl p (1 + Option.value ~default:0 (Hashtbl.find_opt tbl p)))
-    profiles;
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let run ?(pool = Parallel.Pool.sequential) ?(a = Backend.Sim) ?(b = Backend.Live)
-    ~show ~seeds mk_config =
-  let lo, _ = seeds in
-  let rows =
-    Parallel.Pool.map_seeded ~pool ~seeds (fun seed ->
-        let oa = Backend.run ~backend:a (mk_config seed) in
-        let ob = Backend.run ~backend:b (mk_config seed) in
-        ( outcome_repr ~show oa,
-          outcome_repr ~show ob,
-          profile ~show oa,
-          profile ~show ob,
-          oa.Sim.Types.metrics,
-          ob.Sim.Types.metrics ))
-  in
-  let mismatches = ref [] in
-  let ma = ref Obs.Metrics.zero and mb = ref Obs.Metrics.zero in
-  Array.iteri
-    (fun i (ra, rb, _, _, meta, metb) ->
-      if not (String.equal ra rb) then mismatches := (lo + i, ra, rb) :: !mismatches;
-      ma := Obs.Metrics.merge !ma meta;
-      mb := Obs.Metrics.merge !mb metb)
-    rows;
-  let ma = !ma and mb = !mb in
-  {
-    backend_a = a;
-    backend_b = b;
-    seeds;
-    mismatches = List.rev !mismatches;
-    dist_a = dist_of (Array.map (fun (_, _, p, _, _, _) -> p) rows);
-    dist_b = dist_of (Array.map (fun (_, _, _, p, _, _) -> p) rows);
-    metrics_a = ma;
-    metrics_b = mb;
-    wall_a = ma.Obs.Metrics.wall_clock;
-    wall_b = mb.Obs.Metrics.wall_clock;
-  }
-
-let ok r =
-  r.mismatches = []
-  && r.dist_a = r.dist_b
-  && String.equal
-       (Obs.Metrics.det_repr r.metrics_a)
-       (Obs.Metrics.det_repr r.metrics_b)
-
-let pp ppf r =
-  let lo, hi = r.seeds in
-  let name_a = Backend.to_string r.backend_a in
-  let name_b = Backend.to_string r.backend_b in
-  Format.fprintf ppf "@[<v>differential %s vs %s · seeds [%d,%d) · %s@," name_a
-    name_b lo hi
-    (if ok r then "OK" else "MISMATCH");
-  (match r.mismatches with
-  | [] -> ()
-  | ms ->
-      Format.fprintf ppf "  %d mismatching seed(s):@," (List.length ms);
-      List.iteri
-        (fun i (s, ra, rb) ->
-          if i < 3 then
-            Format.fprintf ppf "    seed %d:@,      %s: %s@,      %s: %s@," s
-              name_a ra name_b rb)
-        ms);
-  Format.fprintf ppf "  outcomes (%s):@," name_a;
-  List.iter (fun (p, c) -> Format.fprintf ppf "    %6d  %s@," c p) r.dist_a;
-  if r.dist_a <> r.dist_b then begin
-    Format.fprintf ppf "  outcomes (%s):@," name_b;
-    List.iter (fun (p, c) -> Format.fprintf ppf "    %6d  %s@," c p) r.dist_b
-  end;
-  Format.fprintf ppf "  metrics %s: %s@," name_a (Obs.Metrics.det_repr r.metrics_a);
-  Format.fprintf ppf "  metrics %s: %s@," name_b (Obs.Metrics.det_repr r.metrics_b);
-  Format.fprintf ppf "  wall: %s %.3fs · %s %.3fs@]" name_a r.wall_a name_b r.wall_b

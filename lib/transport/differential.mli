@@ -1,16 +1,9 @@
-(** The differential live-vs-sim contract harness.
+(** Canonical renderings of an outcome.
 
-    Runs the same seed range through two backends and compares, per
-    seed, a canonical rendering of everything deterministic about the
-    run: termination class, moves, message accounting, halted flags,
-    the full trace (digested) and the deterministic metrics counters.
-    Identity per seed implies identical outcome distributions and
-    identical aggregated metrics digests — both are also reported
-    directly, since they are what the acceptance criterion names.
-
-    The per-seed trial is a pure function of its seed (fresh config from
-    [mk_config seed], both backends), so the comparison itself can run
-    over the pool with the usual byte-identity-at-any-[-j] guarantee. *)
+    [outcome_repr] is what the live-vs-sim tests and the golden digests
+    compare: equal strings mean two runs agree on everything the
+    determinism contract covers. [profile] is the key session outcome
+    distributions are counted over ([Engine.run ~profile]). *)
 
 val outcome_repr : show:('a -> string) -> 'a Sim.Types.outcome -> string
 (** Canonical one-line rendering of the deterministic content of an
@@ -22,38 +15,3 @@ val outcome_repr : show:('a -> string) -> 'a Sim.Types.outcome -> string
 val profile : show:('a -> string) -> 'a Sim.Types.outcome -> string
 (** The run's point in outcome space — termination + moves — the key
     the outcome distributions are counted over. *)
-
-type report = {
-  backend_a : Backend.t;
-  backend_b : Backend.t;
-  seeds : int * int;
-  mismatches : (int * string * string) list;
-      (** seeds where the reprs diverge, with both reprs; seed order *)
-  dist_a : (string * int) list;  (** outcome distribution, sorted by profile *)
-  dist_b : (string * int) list;
-  metrics_a : Obs.Metrics.t;  (** merged over all seeds, seed order *)
-  metrics_b : Obs.Metrics.t;
-  wall_a : float;  (** summed per-run wall-clock, seconds; environmental *)
-  wall_b : float;
-}
-
-val run :
-  ?pool:Parallel.Pool.t ->
-  ?a:Backend.t ->
-  ?b:Backend.t ->
-  show:('a -> string) ->
-  seeds:int * int ->
-  (int -> ('m, 'a) Sim.Runner.config) ->
-  report
-(** [run ~show ~seeds:(lo, hi) mk_config] compares backends [a]
-    (default [Sim]) and [b] (default [Live]) on every seed in
-    [\[lo, hi)]. [mk_config] must build a {e fresh} config per call
-    (fresh processes and scheduler — the usual seeded-trial contract)
-    and is called once per backend per seed. *)
-
-val ok : report -> bool
-(** No per-seed mismatches, equal outcome distributions, equal
-    deterministic metrics digests. *)
-
-val pp : Format.formatter -> report -> unit
-(** Human summary: verdict, distributions, metrics digests, timing. *)

@@ -23,8 +23,22 @@ type ('m, 'a) fiber = {
 
 let make_fiber () = { signal = None; emitted = []; resume = None }
 
-let spawn fb body =
-  Effect.Deep.match_with body ()
+(* Host an ordinary reactive process on a fiber: the fiber loops
+   awaiting signals and replays them into the process closures. *)
+let spawn fb (p : ('m, 'a) Types.process) =
+  let rec loop () =
+    Effect.perform Await;
+    (match fb.signal with
+    | None -> ()
+    | Some s ->
+        fb.signal <- None;
+        fb.emitted <-
+          (match s with
+          | Start -> p.Types.start ()
+          | Msg (src, m) -> p.Types.receive ~src m));
+    loop ()
+  in
+  Effect.Deep.match_with loop ()
     {
       Effect.Deep.retc = (fun () -> ());
       exnc = (fun e -> match e with Cancelled -> () | e -> raise e);
@@ -59,39 +73,9 @@ let cancel_fiber fb =
       fb.resume <- None;
       Effect.Deep.discontinue k Cancelled
 
-(* Host an ordinary reactive process on a fiber: the fiber loops
-   awaiting signals and replays them into the process closures. *)
-let reactive_body fb (p : ('m, 'a) Types.process) () =
-  let rec loop () =
-    Effect.perform Await;
-    (match fb.signal with
-    | None -> ()
-    | Some s ->
-        fb.signal <- None;
-        fb.emitted <-
-          (match s with
-          | Start -> p.Types.start ()
-          | Msg (src, m) -> p.Types.receive ~src m));
-    loop ()
-  in
-  loop ()
-
-let host fb will =
-  {
-    Types.start = (fun () -> resume_with fb Start);
-    receive = (fun ~src m -> resume_with fb (Msg (src, m)));
-    will;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* A live run: Runner.run over one fiber per player, then every fiber
-   still blocked is cancelled. A direct-style program (process_of) runs
-   on a fiber of its own, nested inside its host's, which cancelling the
-   host cannot reach: when started inside a live run it registers its
-   own teardown in [nested]. *)
-
-let nested : (unit -> unit) list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   still blocked is cancelled. *)
 
 let run ?slot (cfg : ('m, 'a) Runner.config) =
   let fibers = Array.map (fun _ -> make_fiber ()) cfg.Runner.processes in
@@ -99,72 +83,14 @@ let run ?slot (cfg : ('m, 'a) Runner.config) =
     Array.mapi
       (fun i (p : ('m, 'a) Types.process) ->
         let fb = fibers.(i) in
-        spawn fb (reactive_body fb p);
-        host fb p.Types.will)
+        spawn fb p;
+        {
+          Types.start = (fun () -> resume_with fb Start);
+          receive = (fun ~src m -> resume_with fb (Msg (src, m)));
+          will = p.Types.will;
+        })
       cfg.Runner.processes
   in
-  let outer = Domain.DLS.get nested in
-  let teardown = ref [] in
-  Domain.DLS.set nested (Some teardown);
   Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set nested outer;
-      Array.iter cancel_fiber fibers;
-      List.iter (fun cancel -> cancel ()) !teardown)
+    ~finally:(fun () -> Array.iter cancel_fiber fibers)
     (fun () -> Runner.run ?slot { cfg with Runner.processes = hosted })
-
-(* ------------------------------------------------------------------ *)
-(* Direct-style player programs. *)
-
-type ('m, 'a) api = {
-  recv : unit -> Types.pid * 'm;
-  send : Types.pid -> 'm -> unit;
-  move : 'a -> unit;
-}
-
-let process_of ?(will = fun () -> None) program =
-  let fb = make_fiber () in
-  let buf = ref [] in
-  let flush () =
-    fb.emitted <- List.rev !buf;
-    buf := []
-  in
-  let recv () =
-    flush ();
-    Effect.perform Await;
-    match fb.signal with
-    | Some (Msg (src, m)) ->
-        fb.signal <- None;
-        (src, m)
-    | Some Start | None ->
-        (* unreachable under the driver (one start per process, and
-           resume always sets a signal); unwind defensively *)
-        fb.signal <- None;
-        raise Cancelled
-  in
-  let api =
-    {
-      recv;
-      send = (fun dst m -> buf := Types.Send (dst, m) :: !buf);
-      move = (fun a -> buf := Types.Move a :: !buf);
-    }
-  in
-  let body () =
-    (* the first signal is always the start activation *)
-    Effect.perform Await;
-    fb.signal <- None;
-    program api;
-    buf := Types.Halt :: !buf;
-    flush ()
-  in
-  spawn fb body;
-  let p = host fb will in
-  {
-    p with
-    Types.start =
-      (fun () ->
-        (match Domain.DLS.get nested with
-        | Some teardown -> teardown := (fun () -> cancel_fiber fb) :: !teardown
-        | None -> ());
-        p.Types.start ());
-  }

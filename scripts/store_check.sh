@@ -6,12 +6,11 @@
 #   2. tear the final record off the store: replay must recover with a
 #      warning and exit 0, and time travel must still work;
 #   3. an unrecoverable store must exit 1, a usage error 2;
-#   4. on each backend (sim, and live, serve's default), SIGKILL a
-#      checkpointed `serve --journal` mid-flight, resume it, and diff
-#      the deterministic digest against an uninterrupted run —
-#      byte-identical regardless of where the kill landed. The live
-#      journal's manifest also gets the "inflight" field that older
-#      versions wrote, which resume must ignore.
+#   4. SIGKILL a checkpointed `serve --journal` as soon as its first
+#      shard checkpoint lands, require some shard to be unfinished,
+#      give the manifest the "backend" and "inflight" fields an older
+#      live journal carried (resume ignores both), resume, and diff the
+#      deterministic digest against an uninterrupted run.
 set -u
 
 CTMED=_build/default/bin/ctmed.exe
@@ -52,35 +51,52 @@ st=$?
 st=$?
 [ "$st" -eq 2 ] || fail "missing FILE should exit 2, got $st"
 
-# --- 4. SIGKILL mid-flight, resume, diff the digest (each backend) -----
-for backend in sim live; do
-  SERVE_ARGS="--sessions 120 --shards 4 --backend $backend --checkpoint-every 3 -j 2"
-  JOURNAL="$WORK/journal-$backend"
-  "$CTMED" serve $SERVE_ARGS --journal "$JOURNAL" >"$WORK/serve.out" 2>&1 &
-  pid=$!
-  sleep 0.5
-  kill -9 "$pid" 2>/dev/null
-  wait "$pid" 2>/dev/null
-
-  if [ "$backend" = live ]; then
-    sed -i 's/"checkpoint_every"/"inflight": 16, "checkpoint_every"/' \
-      "$JOURNAL/manifest.json" 2>/dev/null
-    grep -q '"inflight"' "$JOURNAL/manifest.json" \
-      || fail "$backend: cannot add the old inflight field to the manifest"
+# --- 4. SIGKILL mid-flight, resume, diff the digest ---------------------
+SERVE_ARGS="--sessions 120 --shards 4 --checkpoint-every 3 -j 2"
+JOURNAL="$WORK/journal"
+"$CTMED" serve $SERVE_ARGS --journal "$JOURNAL" >"$WORK/serve.out" 2>&1 &
+pid=$!
+# kill at the first checkpoint: poll every 0.05 s, give up after 10 s
+polls=0
+until ls "$JOURNAL"/shard-*.json >/dev/null 2>&1; do
+  polls=$((polls + 1))
+  if [ "$polls" -gt 200 ]; then
+    kill -9 "$pid" 2>/dev/null
+    fail "no shard checkpoint after 10 s: $(cat "$WORK/serve.out")"
   fi
-
-  "$CTMED" serve --resume "$JOURNAL" -j 2 >"$WORK/resume.out" 2>&1 \
-    || fail "$backend: resume after SIGKILL failed: $(cat "$WORK/resume.out")"
-  resumed=$(sed -n 's/^digest: //p' "$WORK/resume.out")
-  [ -n "$resumed" ] || fail "$backend: resume printed no digest"
-
-  "$CTMED" serve $SERVE_ARGS >"$WORK/ref.out" 2>&1 \
-    || fail "$backend: uninterrupted reference run failed"
-  reference=$(sed -n 's/^digest: //p' "$WORK/ref.out")
-  [ -n "$reference" ] || fail "$backend: reference run printed no digest"
-
-  [ "$resumed" = "$reference" ] \
-    || fail "$backend: digest diverged after SIGKILL+resume: $resumed vs $reference"
+  sleep 0.05
 done
+kill -9 "$pid" 2>/dev/null
+wait "$pid" 2>/dev/null
 
-echo "store-check: replay verified, torn store recovered, SIGKILL+resume digest identical on sim and live"
+# a kill that lands after every checkpointed shard finished tests nothing
+unfinished=0
+for shard in "$JOURNAL"/shard-*.json; do
+  hi=$(sed -n 's/^  "hi": \([0-9]*\),$/\1/p' "$shard")
+  next=$(sed -n 's/^  "next": \([0-9]*\),$/\1/p' "$shard")
+  [ -n "$hi" ] && [ -n "$next" ] || fail "cannot read hi/next from $shard"
+  [ "$next" -lt "$hi" ] && unfinished=1
+done
+[ "$unfinished" -eq 1 ] \
+  || fail "SIGKILL landed after every checkpointed shard had finished"
+
+sed -i 's/"checkpoint_every"/"backend": "live", "inflight": 16, "checkpoint_every"/' \
+  "$JOURNAL/manifest.json"
+grep -q '"backend": "live"' "$JOURNAL/manifest.json" \
+  && grep -q '"inflight": 16' "$JOURNAL/manifest.json" \
+  || fail "cannot add the old live journal's fields to the manifest"
+
+"$CTMED" serve --resume "$JOURNAL" -j 2 >"$WORK/resume.out" 2>&1 \
+  || fail "resume after SIGKILL failed: $(cat "$WORK/resume.out")"
+resumed=$(sed -n 's/^digest: //p' "$WORK/resume.out")
+[ -n "$resumed" ] || fail "resume printed no digest"
+
+"$CTMED" serve $SERVE_ARGS >"$WORK/ref.out" 2>&1 \
+  || fail "uninterrupted reference run failed"
+reference=$(sed -n 's/^digest: //p' "$WORK/ref.out")
+[ -n "$reference" ] || fail "reference run printed no digest"
+
+[ "$resumed" = "$reference" ] \
+  || fail "digest diverged after SIGKILL+resume: $resumed vs $reference"
+
+echo "store-check: replay verified, torn store recovered, SIGKILL+resume digest identical"

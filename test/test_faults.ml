@@ -432,8 +432,8 @@ let test_live_backend_fault_accounting () =
   in
   let agg = Obs.Agg.create () in
   for seed = 0 to 39 do
-    let sim = Transport.Backend.run ~backend:Transport.Backend.Sim (config seed) in
-    let live = Transport.Backend.run ~backend:Transport.Backend.Live (config seed) in
+    let sim = Runner.run (config seed) in
+    let live = Transport.Live.run (config seed) in
     let per_kind m =
       [ m.Metrics.injected_dup; m.Metrics.injected_corrupt;
         m.Metrics.injected_delay; m.Metrics.injected_crash ]

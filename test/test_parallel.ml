@@ -155,31 +155,6 @@ let test_implementation_distance_pool_invariant () =
       in
       Alcotest.(check (float 0.0)) "distance bit-identical" seq par)
 
-let test_live_backend_pool_invariant () =
-  (* the live (effects/domains) transport backend obeys the same
-     contract ISSUE 2 established for the simulator: measurement loops
-     are pure functions of the seed range, invariant under -j. The
-     empirical action distribution and the folded metric counters must
-     be byte-identical between j=1 and j=4 on the Live backend — and
-     equal to the Sim backend's, since live delivery is serialized
-     through the same seeded scheduler. *)
-  let collect ~backend pool =
-    let agg = Obs.Agg.create () in
-    let dist =
-      Verify.empirical_action_dist ?pool ~metrics:agg ~backend plan_coord
-        ~types:(Array.make 5 0) ~samples:16 ~scheduler_of:Common.scheduler_of ~seed:5
-    in
-    (Format.asprintf "%a" Games.Dist.pp dist, Obs.Metrics.det_repr (Obs.Agg.total agg))
-  in
-  let live_j1 = collect ~backend:Transport.Backend.Live None in
-  let live_j4 =
-    Pool.with_pool ~domains:4 (fun pool -> collect ~backend:Transport.Backend.Live (Some pool))
-  in
-  Alcotest.(check (pair string string))
-    "live backend byte-identical between -j 1 and -j 4" live_j1 live_j4;
-  let sim_j1 = collect ~backend:Transport.Backend.Sim None in
-  Alcotest.(check (pair string string)) "live backend matches sim backend" sim_j1 live_j1
-
 (* ------------------------------------------------------------------ *)
 (* Experiment tables: byte-identical between -j 1 and -j 4 *)
 
@@ -202,8 +177,8 @@ let experiments : (string * (Common.ctx -> Common.table)) list =
        be byte-identical at any -j *)
     ("chaos", Experiments.Chaos.run);
     (* the sharded engine's table: its rows are themselves digest
-       comparisons across (backend, shards), and the whole table must
-       still be byte-identical at any -j *)
+       comparisons across shard counts, and the whole table must still
+       be byte-identical at any -j *)
     ("throughput", Experiments.Throughput.run);
   ]
 
@@ -407,7 +382,6 @@ let () =
           Alcotest.test_case "metrics fold" `Quick test_metrics_fold_pool_invariant;
           Alcotest.test_case "implementation_distance" `Quick
             test_implementation_distance_pool_invariant;
-          Alcotest.test_case "live backend j1-vs-j4" `Quick test_live_backend_pool_invariant;
         ] );
       ("tables-differential", List.map differential_case experiments);
       ( "domain-safety",

@@ -493,6 +493,37 @@ let test_engine_interrupt_then_resume () =
   Alcotest.(check string) "finished journal still agrees"
     (Engine.det_repr uninterrupted)
     (Engine.det_repr again);
+  rm_rf dir;
+  (* a journal interrupted on the Live backend, whose manifest names
+     that backend as older versions wrote it, resumes at the default
+     backend: resume ignores the field, and the two backends run the
+     same sessions *)
+  let dir = tmpdir () in
+  let polls = ref 0 in
+  (match
+     Engine.run ~backend:Transport.Backend.Live ~journal:dir ~shards:3 ~checkpoint_every:8
+       ~kill_switch:(fun () ->
+         incr polls;
+         !polls > 3)
+       ~sessions:60 ~make:toy_make ~profile:toy_profile ()
+   with
+  | _ -> Alcotest.fail "expected Interrupted"
+  | exception Engine.Interrupted -> ());
+  let manifest = Filename.concat dir "manifest.json" in
+  (match Obs.Json.of_file manifest with
+  | Obs.Json.Obj fields ->
+      Store.write_json_atomic ~path:manifest
+        (Obs.Json.Obj
+           (("backend", Obs.Json.String "live")
+           :: List.filter (fun (k, _) -> not (String.equal k "backend")) fields))
+  | _ -> Alcotest.fail "manifest is not an object");
+  let resumed =
+    Engine.run ~journal:dir ~resume:true ~shards:3 ~checkpoint_every:8 ~sessions:60
+      ~make:toy_make ~profile:toy_profile ()
+  in
+  Alcotest.(check string) "live-written journal resumes as sim"
+    (Engine.det_repr uninterrupted)
+    (Engine.det_repr resumed);
   rm_rf dir
 
 let test_engine_corrupt_shard_recomputed () =
