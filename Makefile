@@ -20,9 +20,10 @@ par-check:
 # keep the Live backend to its one caller (no .ml under lib/ or bin/
 # outside lib/transport and lib/engine names it: only the served-session
 # benchmark's coord5-live workload runs Live, and the benchmark change
-# that drops that workload deletes it, DESIGN.md section 14), keep lib/
-# timing on the monotonic clock (no Unix.gettimeofday: a clock step
-# would corrupt a measured duration or a watchdog), run the analyzers
+# that drops that workload deletes it, DESIGN.md section 14), keep all
+# timing in lib/, bin/ and bench/ on the monotonic clock (no
+# Unix.gettimeofday: a clock step would corrupt a measured duration, a
+# watchdog or a perf-gate number), run the analyzers
 # over the bundled examples (non-zero exit on error findings), and the
 # analysis test suite (race detector vs Sim.Explore ground truth).
 lint:
@@ -36,8 +37,8 @@ lint:
 	  echo "lint: only lib/transport and lib/engine may name the Live backend (run sessions on the simulator; Live stays for the served-session benchmark's coord5-live workload until the benchmark change removes it for good)" >&2; \
 	  exit 1; \
 	fi
-	@if grep -rn --include='*.ml' 'Unix\.gettimeofday' lib; then \
-	  echo "lint: lib/ reads Unix.gettimeofday (time with the monotonic Obs.Metrics.now / Runner.now)" >&2; \
+	@if grep -rn --include='*.ml' 'Unix\.gettimeofday' lib bin bench; then \
+	  echo "lint: lib/, bin/ or bench/ reads Unix.gettimeofday (time with the monotonic Obs.Metrics.now / Runner.now)" >&2; \
 	  exit 1; \
 	fi
 	dune exec bin/ctmed.exe -- lint
@@ -60,16 +61,16 @@ chaos:
 # verdicts for the quorum-vote fixtures, the relaxed mediator game
 # (STOP-batch atomicity) and the section 6.4 coalition stall; exits
 # non-zero when any verdict contradicts its expectation. The backend
-# flags are exclusive: two of them together must fail to parse
-# (cmdliner's exit 124) rather than one silently overriding the other.
+# flags are exclusive: both together must fail to parse (cmdliner's
+# exit 124) rather than one silently overriding the other.
 check:
 	dune exec bin/ctmed.exe -- check
-	@dune exec bin/ctmed.exe -- check --naive --graph >/dev/null 2>&1; \
+	@dune exec bin/ctmed.exe -- check --dpor --naive >/dev/null 2>&1; \
 	  st=$$?; \
 	  if [ $$st -ne 124 ]; then \
-	    echo "check: --naive --graph should fail to parse with exit 124, got $$st" >&2; exit 1; \
+	    echo "check: --dpor --naive should fail to parse with exit 124, got $$st" >&2; exit 1; \
 	  fi; \
-	  echo "check: --naive --graph rejected with exit 124, as required"
+	  echo "check: --dpor --naive rejected with exit 124, as required"
 
 # Sharded engine check (DESIGN.md section 15): the THROUGHPUT table —
 # whose rows are digest comparisons of the sharded engine against a

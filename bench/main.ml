@@ -407,20 +407,20 @@ let () =
   let json_tables = ref [] in
   let timings = ref [] in
   let degraded = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Metrics.now () in
   let run_one (id, run) =
-    let t = Unix.gettimeofday () in
+    let t = Obs.Metrics.now () in
     let table = run ctx in
-    let dt = Unix.gettimeofday () -. t in
+    let dt = Obs.Metrics.now () -. t in
     Experiments.Common.print_table table;
     degraded := !degraded + Experiments.Chaos.degraded_rows table;
     if csv then Experiments.Common.write_csv ~dir:"results" table;
     if json then json_tables := (id, table, dt) :: !json_tables;
     timings := (id, dt) :: !timings;
     if diff then begin
-      let t1 = Unix.gettimeofday () in
+      let t1 = Obs.Metrics.now () in
       let seq_table = run seq_ctx in
-      let dt1 = Unix.gettimeofday () -. t1 in
+      let dt1 = Obs.Metrics.now () -. t1 in
       let identical = table_repr table = table_repr seq_table in
       if not identical then mismatches := id :: !mismatches;
       Printf.printf "(%.1fs at -j %d, %.1fs at -j 1: %.2fx, tables %s)\n" dt j dt1
@@ -476,7 +476,7 @@ let () =
     else ([], false)
   in
   let wire_bytes = if json || baseline <> None then wire_measure () else [] in
-  let total = Unix.gettimeofday () -. t0 in
+  let total = Obs.Metrics.now () -. t0 in
   Printf.printf "\nTotal: %.1fs (-j %d)\n" total j;
   Parallel.Pool.shutdown pool;
   let bound_violated = ref false in

@@ -2,7 +2,7 @@
 
    ctmed list                 catalog of specs, experiments and check fixtures
    ctmed run SPEC [opts]      one cheap-talk history of a compiled spec
-   ctmed check [FIXTURES]     model-check the fixture catalog (DPOR/naive/graph)
+   ctmed check [FIXTURES]     model-check the fixture catalog (DPOR/naive)
    ctmed lint [opts]          static + dynamic analysis over the bundled examples
    ctmed experiment [IDS]     the paper experiments (E1..E10, A1)
    ctmed serve [opts]         serve mediator-game sessions through the session engine
@@ -85,9 +85,10 @@ let theorem_of_token = function
   | _ -> None
 
 (* The exact config a journaled run executes and a replay rebuilds: both
-   sides derive everything from the store's metadata, so the pair stays
-   in lockstep by construction (the runner cross-checks anyway and
-   raises Replay_mismatch on any drift). *)
+   sides derive everything, the seeded scheduler included, from the
+   store's metadata, so a replay re-runs the journaled run itself (the
+   runner checks every decision against the journal and raises
+   Replay_mismatch on any drift). *)
 let journal_config ~plan ~seed ~faults ~fuel =
   let n = plan.Cheaptalk.Compile.spec.Mediator.Spec.game.Games.Game.n in
   let procs =
@@ -578,7 +579,7 @@ let lint_cmd =
       List.map
         (fun f -> { f with F.subject = name ^ ": " ^ f.F.subject })
         (Analysis.Mc.findings ~subject:"verdict"
-           (Analysis.Mc.check ?properties (Analysis.Mc.of_processes ?relaxed make)))
+           (Analysis.Mc.check ?properties (Analysis.Mc.system ?relaxed make)))
     in
     let mc_findings =
       mc_over "ping-pong" Analysis.Fixtures.ping_pong
@@ -611,9 +612,8 @@ let check_cmd =
   let doc =
     "Model-check the fixture catalog: dynamic partial-order reduction (default) with state \
      fingerprinting, deadlock/starvation verdicts and minimized counterexample traces; \
-     $(b,--naive) swaps in the Sim.Explore reference enumeration and $(b,--graph) the \
-     fingerprint-keyed breadth-first search (the three backend flags are exclusive). Exits \
-     non-zero when any fixture's verdict contradicts its expectation."
+     $(b,--naive) swaps in the Sim.Explore reference enumeration (the backend flags are \
+     exclusive). Exits non-zero when any fixture's verdict contradicts its expectation."
   in
   let fixtures_arg =
     Arg.(
@@ -629,7 +629,6 @@ let check_cmd =
             ( Analysis.Mc.Dpor,
               info [ "dpor" ] ~doc:"use partial-order reduction (the default)" );
             (Analysis.Mc.Naive, info [ "naive" ] ~doc:"use the Sim.Explore reference backend");
-            (Analysis.Mc.Graph, info [ "graph" ] ~doc:"use the fingerprint-keyed state search");
           ])
   in
   let max_states_arg =
@@ -657,28 +656,23 @@ let check_cmd =
             | None ->
                 Printf.printf "%-18s unknown fixture (see ctmed list)\n" name;
                 failed := true
-            | Some f -> (
-                match f.Check.run ~backend ~pool ?max_states () with
-                | exception Invalid_argument msg ->
-                    (* e.g. Graph on a relaxed or digest-less fixture *)
-                    Printf.printf "%-18s skipped: %s\n" name msg
-                | r ->
-                    let s = r.Check.stats in
-                    Printf.printf
-                      "%-18s %s  classes=%d deadlocks=%d runs=%d states=%d stop-cuts=%d%s%s\n"
-                      name
-                      (if r.Check.ok then
-                         if r.Check.pass then "PASS" else "FAIL (expected)"
-                       else "UNEXPECTED")
-                      r.Check.classes r.Check.deadlocks s.Analysis.Mc.runs
-                      s.Analysis.Mc.states s.Analysis.Mc.stop_cuts
-                      (if r.Check.exhaustive then "" else " (not exhaustive)")
-                      (if s.Analysis.Mc.capped then " (capped)" else "");
-                    if verbose then print_string r.Check.repr;
-                    (match r.Check.counterexample with
-                    | Some ce when verbose || not r.Check.ok -> print_string ce
-                    | _ -> ());
-                    if not r.Check.ok then failed := true))
+            | Some f ->
+                let r = f.Check.run ~backend ~pool ?max_states () in
+                let s = r.Check.stats in
+                Printf.printf
+                  "%-18s %s  classes=%d deadlocks=%d runs=%d states=%d stop-cuts=%d%s%s\n"
+                  name
+                  (if r.Check.ok then if r.Check.pass then "PASS" else "FAIL (expected)"
+                   else "UNEXPECTED")
+                  r.Check.classes r.Check.deadlocks s.Analysis.Mc.runs s.Analysis.Mc.states
+                  s.Analysis.Mc.stop_cuts
+                  (if r.Check.exhaustive then "" else " (not exhaustive)")
+                  (if s.Analysis.Mc.capped then " (capped)" else "");
+                if verbose then print_string r.Check.repr;
+                (match r.Check.counterexample with
+                | Some ce when verbose || not r.Check.ok -> print_string ce
+                | _ -> ());
+                if not r.Check.ok then failed := true)
           names);
     if !failed then exit 1
   in
@@ -902,19 +896,20 @@ let serve_cmd =
 (* --- replay --- *)
 
 (* Deterministic time-travel over a durable run: rebuild the exact
-   config from the store's metadata record, re-execute the recorded
-   decision journal scheduler-free, and (for a clean, full replay)
-   cross-check the reproduced trace and metrics against the recorded
-   ones. Exit convention: 2 usage, 1 unrecoverable/diverged, 0
-   otherwise — a recovered torn tail still replays and exits 0 with a
-   warning on stderr. *)
+   config — its seeded scheduler included — from the store's metadata
+   record, re-run it with every decision checked against the recorded
+   journal, and (for a clean, full replay) cross-check the reproduced
+   trace and metrics against the recorded ones. Exit convention: 2
+   usage, 1 unrecoverable/diverged, 0 otherwise — a recovered torn tail
+   still replays and exits 0 with a warning on stderr. *)
 let replay_cmd =
   let doc =
     "Replay a journaled run from its trace store (written by $(b,ctmed run --journal)): \
-     scheduler-free, deterministic re-execution of the recorded decisions. $(b,--at K) \
-     stops after the first K decisions and freezes the world there (time travel). A \
-     store with a torn final record is recovered — truncated back to the last valid \
-     record — and replayed with a warning; an unrecoverable store exits 1."
+     re-run the run's own config, rebuilt from the store's metadata, and check every \
+     decision against the recorded journal. $(b,--at K) stops after the first K decisions \
+     and freezes the world there (time travel). A store with a torn final record is \
+     recovered — truncated back to the last valid record — and replayed with a warning; \
+     an unrecoverable store exits 1."
   in
   let file_arg =
     Arg.(

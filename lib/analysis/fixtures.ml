@@ -140,32 +140,3 @@ let pairs ~m () =
     [ pa; pb ]
   in
   Array.of_list (List.concat_map pair (List.init m (fun p -> p)))
-
-let summing () =
-  let rec make acc0 got0 =
-    let acc = ref acc0 and got = ref got0 in
-    let sender me =
-      {
-        start = (fun () -> [ Send (2, me + 1); Send (2, me + 10) ]);
-        receive = (fun ~src:_ _ -> []);
-        will = no_will;
-      }
-    in
-    let collector =
-      {
-        start = (fun () -> []);
-        receive =
-          (fun ~src:_ v ->
-            acc := !acc + v;
-            incr got;
-            if !got = 4 then [ Move !acc; Halt ] else []);
-        will = no_will;
-      }
-    in
-    {
-      Mc.processes = [| sender 0; sender 1; collector |];
-      digest = Some (fun () -> (!acc * 31) + !got);
-      snapshot = Some (fun () -> make !acc !got);
-    }
-  in
-  make 0 0

@@ -45,10 +45,3 @@ val pairs : m:int -> unit -> (int, int) Sim.Types.process array
     their causal chain, so DPOR explores exactly one interleaving while
     naive enumeration pays the full product of linear extensions
     (2,217,600 histories at m = 3). *)
-
-val summing : unit -> (int, int) Mc.instance
-(** Two senders, one accumulating collector, with the protocol state in
-    plain refs so the instance exposes both {!Mc.instance.digest} and
-    {!Mc.instance.snapshot} — the [Graph] backend fixture: different
-    delivery orders of the commutative sums converge to the same
-    fingerprint. *)

@@ -6,25 +6,14 @@ type entry = { src : int; dst : int; seq : int }
 
 let pp_entry fmt e = Format.fprintf fmt "(%d->%d #%d)" e.src e.dst e.seq
 
-type ('m, 'a) instance = {
-  processes : ('m, 'a) Types.process array;
-  digest : (unit -> int) option;
-  snapshot : (unit -> ('m, 'a) instance) option;
-}
-
-let plain processes = { processes; digest = None; snapshot = None }
-
 type ('m, 'a) system = {
-  sys_make : unit -> ('m, 'a) instance;
+  sys_make : unit -> ('m, 'a) Types.process array;
   sys_mediator : int option;
   sys_relaxed : bool;
 }
 
 let system ?mediator ?(relaxed = false) make =
   { sys_make = make; sys_mediator = mediator; sys_relaxed = relaxed }
-
-let of_processes ?mediator ?relaxed make =
-  system ?mediator ?relaxed (fun () -> plain (make ()))
 
 type 'a property = {
   p_name : string;
@@ -34,7 +23,7 @@ type 'a property = {
 
 let property p_name p_check = { p_name; p_check }
 
-type backend = Dpor | Naive | Graph
+type backend = Dpor | Naive
 
 type 'a outcome_class = {
   cls_moves : 'a option array;
@@ -256,11 +245,9 @@ type 'a exec_res = {
   x_worst : int;  (* worst delivery wait, in steps *)
 }
 
-let combine_fp h d = (((h lxor (d land max_int)) * 0x01000193) lor 1) land max_int
-
 let exec ~sys ~guided ~stop_after ~starts ~script ~sleep ~max_steps ~fingerprints =
-  let inst = sys.sys_make () in
-  let st = Runner.Step.create ?mediator:sys.sys_mediator inst.processes in
+  let procs = sys.sys_make () in
+  let st = Runner.Step.create ?mediator:sys.sys_mediator procs in
   (match starts with
   | None -> Runner.Step.deliver_starts st
   | Some pids ->
@@ -273,10 +260,6 @@ let exec ~sys ~guided ~stop_after ~starts ~script ~sleep ~max_steps ~fingerprint
           | Some v -> Runner.Step.deliver st ~id:v.Types.id
           | None -> ())
         (List.sort_uniq compare pids));
-  let fp () =
-    let h = Runner.Step.state_hash st in
-    match inst.digest with Some d -> combine_fp h (d ()) | None -> h
-  in
   let sent_by : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let remaining = ref script in
   let sleep_cur = ref (if script = [] then sleep else []) in
@@ -304,7 +287,7 @@ let exec ~sys ~guided ~stop_after ~starts ~script ~sleep ~max_steps ~fingerprint
     sleep_cur := List.filter (fun z -> z.dst <> e.dst) !sleep_cur
   in
   let rec go () =
-    let h = if fingerprints then fp () else 0 in
+    let h = if fingerprints then Runner.Step.state_hash st else 0 in
     if fingerprints then begin
       fps := h :: !fps;
       if !stuck = None && Runner.Step.pending_all_halted st then stuck := Some h
@@ -386,7 +369,7 @@ let exec ~sys ~guided ~stop_after ~starts ~script ~sleep ~max_steps ~fingerprint
     x_sp = sp;
     x_sleep_at = Array.of_list (List.rev !sleep_log);
     x_outcome = !outcome;
-    x_willed = Option.map (Runner.moves_with_wills inst.processes) !outcome;
+    x_willed = Option.map (Runner.moves_with_wills procs) !outcome;
     x_truncated = !truncated;
     x_fps = Array.of_list (List.rev !fps);
     x_stuck = !stuck;
@@ -742,17 +725,12 @@ let check ?(backend = Dpor) ?(pool = Parallel.Pool.sequential)
   in
   (* ---- naive backend: Sim.Explore's blind DFS as ground truth ---- *)
   let run_naive () =
-    let probe = sys.sys_make () in
     let has_wills =
       Array.exists
         (fun (p : _ Types.process) -> p.Types.will () <> None)
-        probe.processes
+        (sys.sys_make ())
     in
-    let r =
-      Explore.explore ~max_histories:max_states ~max_steps
-        ~make:(fun () -> (sys.sys_make ()).processes)
-        ()
-    in
+    let r = Explore.explore ~max_histories:max_states ~max_steps ~make:sys.sys_make () in
     if r.Explore.capped then capped := true;
     if not r.Explore.exhaustive then incomplete := true;
     List.iter
@@ -778,132 +756,7 @@ let check ?(backend = Dpor) ?(pool = Parallel.Pool.sequential)
         end)
       r.Explore.outcomes
   in
-  (* ---- graph backend: BFS over fingerprinted states. Sound pruning on
-     fingerprints needs the fingerprint to determine the state, hence the
-     digest requirement; DPOR never prunes on them (unsound with sleep
-     sets, see DESIGN.md section 13). ---- *)
-  let run_graph () =
-    if sys.sys_relaxed then
-      invalid_arg "Mc.check: the Graph backend cannot cover relaxed (stop) environments";
-    if (sys.sys_make ()).digest = None then
-      invalid_arg
-        "Mc.check: the Graph backend needs an instance digest (driver state alone \
-         does not determine process state)";
-    let fp_of st (inst : _ instance) =
-      combine_fp (Runner.Step.state_hash st)
-        (match inst.digest with Some d -> d () | None -> 0)
-    in
-    let boot () =
-      let inst = sys.sys_make () in
-      let st = Runner.Step.create ?mediator:sys.sys_mediator inst.processes in
-      Runner.Step.deliver_starts st;
-      (inst, st)
-    in
-    let replay_to script =
-      let inst, st = boot () in
-      let wrst = ref 0 in
-      List.iter
-        (fun e ->
-          match Runner.Step.find st ~src:e.src ~dst:e.dst ~seq:e.seq with
-          | Some v ->
-              let w = Runner.Step.steps st - v.Types.sent_step in
-              if w > !wrst then wrst := w;
-              Runner.Step.deliver st ~id:v.Types.id
-          | None ->
-              raise
-                (Replay_diverged
-                   (Format.asprintf "graph replay: %a is not pending" pp_entry e)))
-        script;
-      (inst, st, !wrst)
-    in
-    let gworker script =
-      let inst, st, wrst = replay_to script in
-      let stuckp =
-        if Runner.Step.pending_all_halted st then Some (fp_of st inst) else None
-      in
-      let pend = Pending_set.to_list (Runner.Step.pending st) in
-      if pend = [] then begin
-        let o = Runner.Step.finish st in
-        `Terminal (o, Runner.moves_with_wills inst.processes o, wrst, stuckp)
-      end
-      else if List.length script >= max_steps then `Truncated (wrst, stuckp)
-      else begin
-        let nreplays = ref 1 in
-        let kids =
-          List.map
-            (fun (v : Types.pending_view) ->
-              let e = { src = v.Types.src; dst = v.Types.dst; seq = v.Types.seq } in
-              let h =
-                match inst.snapshot with
-                | Some snap ->
-                    (* replay-free branching: fork protocol state through
-                       the snapshot hook, driver state through clone *)
-                    let inst2 = snap () in
-                    let st2 = Runner.Step.clone st ~processes:inst2.processes in
-                    (match
-                       Runner.Step.find st2 ~src:e.src ~dst:e.dst ~seq:e.seq
-                     with
-                    | Some v2 -> Runner.Step.deliver st2 ~id:v2.Types.id
-                    | None -> raise (Replay_diverged "graph clone lost a message"));
-                    fp_of st2 inst2
-                | None ->
-                    incr nreplays;
-                    let inst2, st2, _ = replay_to (script @ [ e ]) in
-                    fp_of st2 inst2
-              in
-              (e, h))
-            pend
-        in
-        `Expand (kids, wrst, stuckp, !nreplays)
-      end
-    in
-    (let inst0, st0 = boot () in
-     Hashtbl.replace fp_seen (fp_of st0 inst0) ();
-     incr states);
-    let frontier = ref [ [] ] in
-    let discovered = ref 1 in
-    while !frontier <> [] do
-      let items = Array.of_list !frontier in
-      frontier := [];
-      if Array.length items > !max_frontier then max_frontier := Array.length items;
-      let results = Parallel.Pool.map_array ~pool items gworker in
-      let next = ref [] in
-      Array.iteri
-        (fun idx res ->
-          let script = items.(idx) in
-          let common wrst stuckp nr =
-            runs := !runs + nr;
-            if wrst > !worst then worst := wrst;
-            match stuckp with
-            | Some h -> Hashtbl.replace stuck_seen h ()
-            | None -> ()
-          in
-          match res with
-          | `Terminal (o, willed, wrst, stuckp) ->
-              common wrst stuckp 1;
-              incr traces;
-              record_outcome ~stopped:false ~script ~starts:None o willed
-          | `Truncated (wrst, stuckp) ->
-              common wrst stuckp 1;
-              incr truncated
-          | `Expand (kids, wrst, stuckp, nr) ->
-              common wrst stuckp nr;
-              List.iter
-                (fun (e, h) ->
-                  if Hashtbl.mem fp_seen h then incr revisits
-                  else if !discovered >= max_states then capped := true
-                  else begin
-                    Hashtbl.replace fp_seen h ();
-                    incr states;
-                    incr discovered;
-                    next := (script @ [ e ]) :: !next
-                  end)
-                kids)
-        results;
-      frontier := List.rev !next
-    done
-  in
-  (match backend with Dpor -> run_dpor () | Naive -> run_naive () | Graph -> run_graph ());
+  (match backend with Dpor -> run_dpor () | Naive -> run_naive ());
   (* ---- assemble the verdict (canonical order everywhere) ---- *)
   let classes =
     List.rev_map
@@ -1025,8 +878,7 @@ let check ?(backend = Dpor) ?(pool = Parallel.Pool.sequential)
   let violation = Option.map minimize !violation in
   let stats =
     {
-      backend_name =
-        (match backend with Dpor -> "dpor" | Naive -> "naive" | Graph -> "graph");
+      backend_name = (match backend with Dpor -> "dpor" | Naive -> "naive");
       runs = !runs;
       traces = !traces;
       truncated = !truncated;

@@ -34,12 +34,9 @@
     representatives (deduplicated by per-destination delivery sequences)
     covers them all, mediator-batch atomicity included.
 
-    State fingerprints (driver {!Sim.Runner.Step.state_hash} combined
-    with an optional protocol digest such as [Mpc.Engine.digest]) count
-    distinct states and converging branches; the [Graph] backend
-    breadth-first-searches the state graph keyed by fingerprint, which is
-    sound up to hash collision — see DESIGN.md section 13 for why DPOR
-    itself never prunes on fingerprints. *)
+    State fingerprints ({!Sim.Runner.Step.state_hash}, the driver-visible
+    state) count distinct states, converging branches and stuck states;
+    they never prune the search — see DESIGN.md section 13 for why. *)
 
 type entry = { src : int; dst : int; seq : int }
 (** A delivery, identified schedule-independently by its channel
@@ -48,22 +45,8 @@ type entry = { src : int; dst : int; seq : int }
 
 val pp_entry : Format.formatter -> entry -> unit
 
-(** Fresh processes plus optional state hooks: [digest] hashes the
-    protocol-level mutable state (closures the driver cannot see);
-    [snapshot] clones the instance mid-run for replay-free branching via
-    {!Sim.Runner.Step.clone}. Both must describe the {e same} state the
-    [processes] closures read. *)
-type ('m, 'a) instance = {
-  processes : ('m, 'a) Sim.Types.process array;
-  digest : (unit -> int) option;
-  snapshot : (unit -> ('m, 'a) instance) option;
-}
-
-val plain : ('m, 'a) Sim.Types.process array -> ('m, 'a) instance
-(** No digest, no snapshot. *)
-
 type ('m, 'a) system = {
-  sys_make : unit -> ('m, 'a) instance;
+  sys_make : unit -> ('m, 'a) Sim.Types.process array;
   sys_mediator : int option;
   sys_relaxed : bool;
       (** when true the environment may stop delivery: stopped cuts are
@@ -73,17 +56,10 @@ type ('m, 'a) system = {
 val system :
   ?mediator:int ->
   ?relaxed:bool ->
-  (unit -> ('m, 'a) instance) ->
-  ('m, 'a) system
-(** [relaxed] defaults to false. [make] must return freshly-initialised
-    state on every call, as in {!Sim.Explore.explore}. *)
-
-val of_processes :
-  ?mediator:int ->
-  ?relaxed:bool ->
   (unit -> ('m, 'a) Sim.Types.process array) ->
   ('m, 'a) system
-(** Convenience wrapper: {!system} over {!plain} instances. *)
+(** [relaxed] defaults to false. [make] must return freshly-initialised
+    processes on every call, as in {!Sim.Explore.explore}. *)
 
 type 'a property = {
   p_name : string;
@@ -103,10 +79,6 @@ val property :
 type backend =
   | Dpor  (** persistent/sleep-set partial-order reduction (default) *)
   | Naive  (** {!Sim.Explore} reference enumeration, adapted *)
-  | Graph
-      (** fingerprint-keyed breadth-first state search — requires an
-          instance [digest]; sound up to hash collision; rejects relaxed
-          systems *)
 
 (** One behaviourally distinct end state. *)
 type 'a outcome_class = {
@@ -185,9 +157,7 @@ val check :
     properties, [require_confluence] false (when true, non-confluence
     itself produces a minimized divergence counterexample), and
     [fingerprints] true (disable to skip per-state hashing on very long
-    histories; [states]/[revisits]/[deadlocks] then read 0).
-    @raise Invalid_argument for [Graph] without a digest or on a relaxed
-    system. *)
+    histories; [states]/[revisits]/[deadlocks] then read 0). *)
 
 val replay :
   ('m, 'a) system ->

@@ -69,11 +69,10 @@ let fixture ~name ~descr ~expect_violation ?(max_states = 100_000)
 
 let e1_small_sys () =
   Mc.system ~mediator:3 ~relaxed:true (fun () ->
-      Mc.plain
-        (Protocol.game_processes ~spec:(Spec.coordination ~n:3)
-           ~types:[| 0; 0; 0 |] ~rounds:1 ~wait_for:3
-           ~rng:(Random.State.make [| 0xe1; 3 |])
-           ~wills:(fun _ -> None) ()))
+      Protocol.game_processes ~spec:(Spec.coordination ~n:3)
+        ~types:[| 0; 0; 0 |] ~rounds:1 ~wait_for:3
+        ~rng:(Random.State.make [| 0xe1; 3 |])
+        ~wills:(fun _ -> None) ())
 
 (* Lemma 6.10's atomicity rule: the mediator sends the STOP batch in one
    activation, so a relaxed environment may cut the history before it or
@@ -114,7 +113,7 @@ let pitfall_sys ~coalition ~seed () =
   (* the smallest §6.4 instance: n > 3k forces n = 4 at k = 1, and the
      coalition needs one even- and one odd-index player *)
   let n = 4 and k = 1 in
-  Mc.of_processes (fun () ->
+  Mc.system (fun () ->
       let cfg = Pitfall.config ~n ~k ~coin_seed:(seed * 131) in
       Array.init n (fun me ->
           match coalition with
@@ -139,16 +138,16 @@ let fixtures =
       ~descr:"majority vote, n=4, 1 forged zero per honest: validity holds"
       ~expect_violation:false
       ~properties:[ Fx.quorum_validity ]
-      (Mc.of_processes (Fx.quorum_vote ~n:4 ~zeros:1));
+      (Mc.system (Fx.quorum_vote ~n:4 ~zeros:1));
     fixture ~name:"quorum-violation"
       ~descr:"majority vote, n=3, 2 forged zeros: validity breaks, minimized"
       ~expect_violation:true
       ~properties:[ Fx.quorum_validity ]
-      (Mc.of_processes (Fx.quorum_vote ~n:3 ~zeros:2));
+      (Mc.system (Fx.quorum_vote ~n:3 ~zeros:2));
     fixture ~name:"pairs-ratio"
       ~descr:"3 independent pairs: the partial-order-reduction showcase"
       ~expect_violation:false
-      (Mc.of_processes (Fx.pairs ~m:3));
+      (Mc.system (Fx.pairs ~m:3));
     fixture ~name:"e1-small"
       ~descr:"mediator game (coordination, n=3, relaxed): STOP batch atomicity"
       ~expect_violation:false ~max_states:20_000
@@ -171,7 +170,7 @@ let names = List.map (fun f -> f.name) fixtures
    many complete replays DPOR needs on the pairs fixture against the
    naive enumeration capped at [naive_cap] histories. *)
 let reduction ?pool ?(naive_cap = 50_000) () =
-  let sys = Mc.of_processes (Fx.pairs ~m:3) in
+  let sys = Mc.system (Fx.pairs ~m:3) in
   let d = Mc.check ~backend:Mc.Dpor ?pool sys in
   let n = Mc.check ~backend:Mc.Naive ~max_states:naive_cap sys in
   (d.Mc.stats.Mc.runs, n.Mc.stats.Mc.runs, n.Mc.stats.Mc.capped)

@@ -540,32 +540,3 @@ let handle (e : t) ~src m =
 let result (e : t) = e.result
 let stage_results (e : t) = Array.copy e.stage_results
 let input_core e = e.core
-
-(* Canonical hash of the engine's dense-array state, for the model
-   checker's state fingerprints. Deep structural hash with high traversal
-   limits (the default polymorphic hash inspects only ~10 nodes — useless
-   as a digest): covers every AVSS session, ABA vote, share/point array
-   and the reconstruction results, plus the rng (its state drives future
-   sends, so two engines that differ only there must not merge). Coin
-   closures hash as opaque blocks, which is sound: they are pure
-   functions of static per-run seeds. Equal digests are not a proof of
-   equal state (it is a hash); see DESIGN.md section 13 for the soundness
-   argument of fingerprint-based deduplication. *)
-let digest (e : t) =
-  let h = ref 0 in
-  let mix v = h := ((!h * 0x01000193) lxor v) land max_int in
-  let deep x = Hashtbl.hash_param 4096 4096 x in
-  mix (deep e.sessions);
-  mix (deep e.votes);
-  mix (deep e.proposed);
-  mix (deep e.core);
-  mix (deep e.rand_shares);
-  mix (deep e.gate_shares);
-  mix (deep e.muls);
-  mix (deep e.stage_sent);
-  mix (deep e.output_points);
-  mix (deep e.stage_npoints);
-  mix (deep e.stage_results);
-  mix (deep e.result);
-  mix (deep e.rng);
-  !h

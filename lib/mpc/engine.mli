@@ -89,10 +89,3 @@ val stage_results : t -> Field.Gf.t option array
 
 val input_core : t -> int list option
 (** The agreed core set of input dealers, once known (sorted pids). *)
-
-val digest : t -> int
-(** Canonical hash of the engine's dense-array state (AVSS sessions, ABA
-    votes, share and reconstruction arrays, rng) for model-checker state
-    fingerprints: engines with different digests are in different states;
-    equal digests are equal-with-overwhelming-probability, never proof.
-    Deterministic within a process; do not persist across runs. *)

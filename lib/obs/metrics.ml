@@ -344,17 +344,6 @@ module Builder = struct
   let injected_crash b = b.injected_crash <- b.injected_crash + 1
   let timed_out b = b.timed_out <- true
 
-  (* Snapshot of the accumulator: fresh count arrays, same origin
-     timestamps (a cloned run inherits its parent's clock baseline —
-     wall-clock is environmental and never participates in diffs). *)
-  let copy b =
-    {
-      b with
-      sent = Array.copy b.sent;
-      delivered = Array.copy b.delivered;
-      dropped = Array.copy b.dropped;
-    }
-
   let counts_of arr = { p2p = arr.(0); p2m = arr.(1); m2p = arr.(2); self = arr.(3) }
 
   let finish b ~batches ~steps =

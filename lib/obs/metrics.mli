@@ -122,11 +122,5 @@ module Builder : sig
   val injected_crash : t -> unit
   val timed_out : t -> unit
 
-  val copy : t -> t
-  (** Independent snapshot of the accumulator (count arrays are copied,
-      the wall-clock/GC baselines are shared) — the clone hook
-      {!Sim.Runner.Step.clone} uses this so a branched run keeps
-      accumulating without disturbing its parent. *)
-
   val finish : t -> batches:int -> steps:int -> metrics
 end

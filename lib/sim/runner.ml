@@ -55,7 +55,7 @@ type ('m, _) item = {
 }
 
 (* The mutable driver state, shared between [run] (the scheduler-driven
-   loop) and [Step] (the model checker's replay-free branching hook).
+   loop) and [Step] (the model checker's step-at-a-time hook).
    Everything a history's evolution touches lives here; the scheduler,
    fault plan wiring and watchdogs stay in [run]. *)
 type ('m, 'a) core = {
@@ -479,7 +479,7 @@ let starving c ~bound =
 let outcome_of c termination =
   {
     (* copies: an outcome must stay immutable even when the driver that
-       produced it keeps evolving (Step forks) *)
+       produced it keeps evolving (a Step cutoff taken mid-history) *)
     moves = Array.copy c.moves;
     termination;
     messages_sent = c.messages_sent;
@@ -490,45 +490,16 @@ let outcome_of c termination =
     metrics = Obs.Metrics.Builder.finish c.mb ~batches:c.next_batch ~steps:c.steps;
   }
 
-(* Fork the driver state. [processes] must be the caller's own copy of
-   the process array (process state lives in closures the driver cannot
-   copy). Pending ids, seqs and arrival order are preserved, so
-   delivering the same ids in the same order in both forks yields
-   identical traces. *)
-let clone_core c ~processes =
-  let pending' = Pending_set.create () in
-  let items' = Array.make (Array.length c.items) None in
-  (* Re-append the live views in order: ids, seqs and relative order
-     are preserved, so the clone is observationally identical. *)
-  Pending_set.iter c.pending (fun v ->
-      match item_get c v.id with
-      | None -> ()
-      | Some it ->
-          let node = Pending_set.append pending' v in
-          items'.(v.id) <- Some { it with node });
-  {
-    c with
-    procs = processes;
-    mb = Obs.Metrics.Builder.copy c.mb;
-    halted = Array.copy c.halted;
-    started = Array.copy c.started;
-    moves = Array.copy c.moves;
-    pending = pending';
-    items = items';
-    seq = Array.copy c.seq;
-    delivered_batches = Bytes.copy c.delivered_batches;
-    crash_announced = Array.copy c.crash_announced;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Decision journal: one entry per scheduler decision — enough to replay
-   a run without its scheduler (time-travel) or to resume it mid-way in
-   a fresh process (crash-restart). Entries carry channel coordinates
-   (src, dst, seq) instead of item ids: ids are an implementation detail
-   of the pending set, while coordinates are stable across re-execution
-   and meaningful inside a store file. Process closures cannot be
-   serialized, so a checkpoint IS the journal prefix: restore = rebuild
-   the config from its seed and re-execute the scripted decisions. *)
+(* Decision journal: one entry per decision — a witness of the run. A run
+   is a pure function of its config (the scheduler is a seeded object in
+   it), so replay (time travel) and resume (crash-restart) re-run the
+   rebuilt config through [decide] and check every entry it makes against
+   the stored one. Entries carry channel coordinates (src, dst, seq)
+   instead of item ids: ids are an implementation detail of the pending
+   set, while coordinates are stable across re-execution and meaningful
+   inside a store file. Process closures cannot be serialized, so a
+   checkpoint IS the journal prefix. *)
 
 module Journal = struct
   type coords = { src : pid; dst : pid; seq : int }
@@ -541,6 +512,19 @@ module Journal = struct
     | Fallback of reason * coords option
     | Stopped
     | Watchdog
+
+  let coords_equal a b = Int.equal a.src b.src && Int.equal a.dst b.dst && Int.equal a.seq b.seq
+
+  let equal a b =
+    match (a, b) with
+    | Forced x, Forced y | Chose x, Chose y -> coords_equal x y
+    | Fallback (r, x), Fallback (r', y) ->
+        (match (r, r') with
+        | Blocked, Blocked | Invalid, Invalid | Sched_exn, Sched_exn -> true
+        | _ -> false)
+        && Option.equal coords_equal x y
+    | Stopped, Stopped | Watchdog, Watchdog -> true
+    | _ -> false
 
   let coords_repr { src; dst; seq } = Printf.sprintf "%d->%d#%d" src dst seq
 
@@ -565,9 +549,9 @@ let replay_fail fmt = Printf.ksprintf (fun s -> raise (Replay_mismatch s)) fmt
 (* ------------------------------------------------------------------ *)
 (* The decision loop. A driver is one run in flight: its config, its
    core, the wall-limit origin and the journal hook. [decide] is the only
-   place a scheduler is consulted natively; [run] and [resume] (past its
-   scripted prefix) call it, and the live backend is [run] over
-   fiber-hosted processes, so every backend makes the same decisions by
+   place a scheduler is consulted; [run], [replay] and [resume] call it,
+   and the live backend is [run] over fiber-hosted processes, so every
+   backend and every re-execution makes the same decisions by
    construction. It builds no closure per decision, and journal entries
    only when a hook is present. *)
 
@@ -610,16 +594,13 @@ let time_out c =
   drop_all_remaining c;
   Obs.Metrics.Builder.timed_out c.mb
 
-let count_fallback c (reason : Journal.reason) =
-  match reason with
+(* Redirect the decision to the oldest deliverable item. *)
+let fallback d (reason : Journal.reason) =
+  let c = d.c in
+  (match reason with
   | Invalid -> Obs.Metrics.Builder.invalid_decision c.mb
   | Sched_exn -> Obs.Metrics.Builder.scheduler_exn c.mb
-  | Blocked -> ()
-
-(* Redirect the decision to the oldest deliverable item. *)
-let fallback d reason =
-  let c = d.c in
-  count_fallback c reason;
+  | Blocked -> ());
   (match oldest_deliverable c with
   | Some v ->
       (match d.emit with
@@ -688,146 +669,47 @@ let run_native ?slot ?emit (cfg : ('m, 'a) config) =
 let run ?slot cfg = run_native ?slot cfg
 let run_journaled ~emit cfg = run_native ~emit cfg
 
-(* [resume] and [replay]: a journal prefix executed instead of consulting
-   the scheduler. With [sync_scheduler] the scheduler is still called
-   for every scripted entry it originally decided — advancing its
-   internal state (RNG draws, counters) exactly as the original run did
-   — and its answers are cross-checked against the script; divergence
-   raises [Replay_mismatch] instead of silently producing a different
-   run, and after the prefix the loop continues natively, passing
-   [emit] only the entries it decides itself. Without [sync_scheduler]
-   the scheduler is never consulted and the run freezes (as a Cutoff)
-   when the script runs out: time-travel. *)
-let run_scripted ?emit ~script ~sync_scheduler (cfg : ('m, 'a) config) : 'a outcome =
-  if sync_scheduler then cfg.scheduler.Scheduler.reset ();
-  let d = make_driver ?emit cfg in
-  let c = d.c in
-  let coords_eq (a : Journal.coords) (b : Journal.coords) =
-    a.Journal.src = b.Journal.src && a.Journal.dst = b.Journal.dst
-    && a.Journal.seq = b.Journal.seq
+(* [replay] and [resume]: the journal's own config re-run through
+   [decide], whose hook checks each entry it makes against the stored
+   entry at the same index — [decide] makes exactly one entry per
+   decision that does not end on [finished], so the two line up. While
+   stored entries remain the wall clock is not read (the prefix runs with
+   [wall_limit = None]) and a stored [Watchdog] ends the run as
+   [Timed_out] where it stands, so a wall-clock journal replays on any
+   host; fuel counts decisions and re-fires natively. [at_end] takes
+   over, with the real config, once the stored entries run out. *)
+let rerun ~entries ~at_end (cfg : ('m, 'a) config) =
+  cfg.scheduler.Scheduler.reset ();
+  let len = Array.length entries in
+  let pos = ref 0 in
+  let check e =
+    let i = !pos in
+    if not (Journal.equal e entries.(i)) then
+      replay_fail "journal entry %d: the run decided %s, the journal says %s" i
+        (Journal.entry_repr e) (Journal.entry_repr entries.(i));
+    pos := i + 1
   in
-  let find_coords (co : Journal.coords) =
-    Pending_set.find c.pending (fun (v : pending_view) ->
-        v.src = co.Journal.src && v.dst = co.Journal.dst && v.seq = co.Journal.seq)
+  let d = make_driver ~emit:check cfg in
+  let prefix = { d with cfg = { cfg with wall_limit = None } } in
+  let ended t =
+    if !pos < len then
+      replay_fail "journal entry %d (%s): the run already ended" !pos
+        (Journal.entry_repr entries.(!pos));
+    t
   in
-  (* the scheduler consulted for a scripted entry, with [decide]'s
-     exception policy: [Error] is a recorded fallback *)
-  let choose () =
-    match cfg.scheduler.choose ~step:c.steps ~history:c.pattern ~pending:c.pending with
-    | d -> Ok d
-    | exception ((Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
-        Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
-    | exception _ -> Error ()
+  let rec go () =
+    if !pos >= len then at_end d
+    else
+      match entries.(!pos) with
+      | Journal.Watchdog when Option.is_none (finished d.c ~max_steps:cfg.max_steps) ->
+          incr pos;
+          time_out d.c;
+          ended Timed_out
+      | _ -> ( match decide prefix with None -> go () | Some t -> ended t)
   in
+  outcome_of d.c (go ())
 
-  (* Execute one scripted entry; [Some t] means the entry ends the run.
-     Every entry is cross-checked against the driver's own deterministic
-     state (starvation override, fallback target, pending membership) —
-     a journal replayed against the wrong config fails loudly. *)
-  let exec_scripted entry_no (e : Journal.entry) =
-    let deliver_coords what co =
-      match find_coords co with
-      | Some v -> deliver_step c v.id
-      | None ->
-          replay_fail "journal entry %d (%s %s): message is not pending" entry_no what
-            (Journal.coords_repr co)
-    in
-    match e with
-    | Journal.Watchdog ->
-        (* the watchdog fires BEFORE the decision counter ticks *)
-        time_out c;
-        Some Timed_out
-    | Journal.Stopped ->
-        tick c;
-        (if sync_scheduler then
-           match choose () with
-           | Ok Stop_delivery when cfg.scheduler.relaxed -> ()
-           | _ ->
-               replay_fail "journal entry %d: scheduler did not STOP where the journal stopped"
-                 entry_no);
-        drop_all_remaining c;
-        Some Deadlocked
-    | Journal.Forced co ->
-        tick c;
-        (* the fairness override is a pure function of driver state: it
-           must fire here whether or not the scheduler is synced *)
-        (match
-           if cfg.scheduler.relaxed then None else starving c ~bound:cfg.starvation_bound
-         with
-        | Some v when coords_eq (coords_of v) co -> ()
-        | _ ->
-            replay_fail "journal entry %d: starvation override mismatch at %s" entry_no
-              (Journal.coords_repr co));
-        Obs.Metrics.Builder.starved c.mb;
-        deliver_coords "forced" co;
-        None
-    | Journal.Chose co ->
-        tick c;
-        (if sync_scheduler then
-           match choose () with
-           | Ok (Deliver id) when item_mem c id -> (
-               match item_get c id with
-               | Some it ->
-                   let v = Pending_set.view_of it.node in
-                   if not (coords_eq (coords_of v) co) then
-                     replay_fail "journal entry %d: scheduler chose %s, journal says %s"
-                       entry_no
-                       (Journal.coords_repr (coords_of v))
-                       (Journal.coords_repr co)
-                   else if Option.is_some c.faults && blocked c id then
-                     replay_fail "journal entry %d: choice %s is blocked on replay" entry_no
-                       (Journal.coords_repr co)
-               | None -> assert false)
-           | _ ->
-               replay_fail "journal entry %d: scheduler diverged from journaled choice %s"
-                 entry_no (Journal.coords_repr co));
-        deliver_coords "chose" co;
-        None
-    | Journal.Fallback (reason, co_opt) ->
-        tick c;
-        (if sync_scheduler then
-           let classified =
-             match choose () with
-             | Error () -> Some Journal.Sched_exn
-             | Ok (Deliver id) when not (item_mem c id) -> Some Journal.Invalid
-             | Ok (Deliver id) ->
-                 if Option.is_some c.faults && blocked c id then Some Journal.Blocked else None
-             | Ok Stop_delivery ->
-                 if cfg.scheduler.relaxed then None else Some Journal.Invalid
-           in
-           match classified with
-           | Some r when r = reason -> ()
-           | _ ->
-               replay_fail "journal entry %d: fallback reason mismatch (expected %s)" entry_no
-                 (Journal.reason_repr reason));
-        count_fallback c reason;
-        (match (co_opt, oldest_deliverable c) with
-        | Some co, Some v when coords_eq (coords_of v) co -> deliver_step c v.id
-        | None, None -> () (* burnt decision, as journaled *)
-        | Some co, _ ->
-            replay_fail "journal entry %d: fallback target mismatch at %s" entry_no
-              (Journal.coords_repr co)
-        | None, Some _ ->
-            replay_fail "journal entry %d: burnt decision but a message is deliverable"
-              entry_no);
-        None
-  in
-
-  (* The fuel/wall watchdog is checked only natively: during a scripted
-     prefix the journal already proves the original run did not fire
-     there, and wall-clock is environmental — re-evaluating it would let
-     a slow replaying host diverge from the recorded decisions. *)
-  let rec scripted pos =
-    match finished c ~max_steps:cfg.max_steps with
-    | Some t -> t
-    | None when pos < Array.length script -> (
-        match exec_scripted pos script.(pos) with Some t -> t | None -> scripted (pos + 1))
-    | None when sync_scheduler -> decide_all d
-    | None -> Cutoff (* time-travel: the journal prefix ends here — freeze the run *)
-  in
-  outcome_of c (scripted 0)
-
-let resume ~entries ?emit cfg = run_scripted ?emit ~script:entries ~sync_scheduler:true cfg
+let resume ~entries ?emit cfg = rerun ~entries ~at_end:(fun d -> decide_all { d with emit }) cfg
 
 let replay ?upto ~entries cfg =
   let entries =
@@ -837,7 +719,10 @@ let replay ?upto ~entries cfg =
     | Some k when k >= Array.length entries -> entries
     | Some k -> Array.sub entries 0 k
   in
-  run_scripted ~script:entries ~sync_scheduler:false cfg
+  (* time travel: the run freezes where the journal prefix ends *)
+  rerun ~entries
+    ~at_end:(fun d -> Option.value (finished d.c ~max_steps:cfg.max_steps) ~default:Cutoff)
+    cfg
 
 let moves_with_wills processes (o : 'a outcome) =
   Array.mapi
@@ -889,8 +774,6 @@ module Step = struct
 
   let pending c = c.pending
   let steps c = c.steps
-  let moves c = c.moves
-  let halted c = c.halted
   let pending_all_halted c =
     (not (Pending_set.is_empty c.pending))
     && Pending_set.find c.pending (fun v -> v.dst >= 0 && v.dst < c.n && not c.halted.(v.dst))
@@ -926,8 +809,8 @@ module Step = struct
        hashes, per-process moved/halted/started flags and the channel seq
        counters. Batch ids are summarised by their partially-delivered
        bit, which is all the stop rule can observe. Process-internal
-       state is NOT covered — combine with an instance digest for a full
-       fingerprint (see Analysis.Mc). *)
+       state is NOT covered, so the model checker counts states with it
+       but never prunes on it. *)
     let entries = ref [] in
     Pending_set.iter c.pending (fun v ->
         let ph =
@@ -959,9 +842,4 @@ module Step = struct
     Array.iter (fun b -> mix (if b then 3 else 4)) c.started;
     Array.iter mix c.seq;
     !h land max_int
-
-  let clone c ~processes =
-    if Array.length processes <> c.n then
-      invalid_arg "Runner.Step.clone: processes array length changed";
-    clone_core c ~processes
 end

@@ -116,13 +116,16 @@ val run : ?slot:('m, 'a) Slot.t -> ('m, 'a) config -> 'a Types.outcome
 
 (** {1 Decision journal: durable runs}
 
-    One journal entry per scheduler decision is enough to reconstruct a
-    run exactly — process closures cannot be serialized, so a checkpoint
-    IS the journal prefix: restore means rebuilding the config from its
-    seed parameters and re-executing the scripted decisions. Entries
-    carry channel coordinates (src, dst, seq), which are stable across
-    re-execution, rather than pending-set item ids, which are not
-    meaningful outside one process. See DESIGN.md section 16. *)
+    One journal entry per decision. A run is a pure function of its
+    config — the scheduler is a seeded object in it — so a journal is a
+    witness of the run rather than a script: replay and resume rebuild
+    the config from its seed parameters, re-run it through the same
+    decision loop as {!run} and check every decision against the stored
+    entry at the same index. Process closures cannot be serialized, so a
+    checkpoint IS the journal prefix. Entries carry channel coordinates
+    (src, dst, seq), which are stable across re-execution, rather than
+    pending-set item ids, which are not meaningful outside one process.
+    See DESIGN.md section 16. *)
 
 module Journal : sig
   type coords = { src : Types.pid; dst : Types.pid; seq : int }
@@ -143,16 +146,19 @@ module Journal : sig
     | Stopped  (** a relaxed scheduler chose [Stop_delivery] *)
     | Watchdog  (** fuel or wall limit fired (before any tick) *)
 
+  val equal : entry -> entry -> bool
+  (** Structural equality, without polymorphic compare. *)
+
   val entry_repr : entry -> string
   (** Stable one-line rendering, e.g. ["chose 0->2#3"]. *)
 end
 
 exception Replay_mismatch of string
-(** A journal was replayed against a config it did not come from (wrong
-    seed, spec, fault plan, scheduler...): every scripted decision is
-    cross-checked against the driver's own deterministic state and the
-    re-synced scheduler, and any divergence raises instead of silently
-    producing a different run. *)
+(** A re-run decided differently from its journal: the config it was
+    rebuilt from is not the one the journal came from (wrong seed, spec,
+    fault plan, scheduler...), the run ended while stored entries
+    remained, or the journal was damaged. The message names the first
+    differing entry index and both entries. *)
 
 val run_journaled :
   emit:(Journal.entry -> unit) -> ('m, 'a) config -> 'a Types.outcome
@@ -164,26 +170,30 @@ val resume :
   ?emit:(Journal.entry -> unit) ->
   ('m, 'a) config ->
   'a Types.outcome
-(** Crash-restart: re-execute the journaled prefix [entries] against a
-    freshly built config (same seed parameters as the original run),
-    then continue natively to completion. The scheduler is re-synced
-    during the prefix — consulted with identical inputs so its internal
-    state (RNG draws) advances exactly as the original run's did — which
-    makes the continuation, and hence the whole outcome, byte-identical
-    to the uninterrupted run. [emit] receives only post-prefix entries,
-    so appending them to the stored journal keeps it a valid whole-run
-    journal. Mediator-batch atomicity and fault-plan windows survive the
-    boundary because both are replayed, not approximated.
-    @raise Replay_mismatch when the config does not match the journal. *)
+(** Crash-restart: re-run a freshly built config (same seed parameters
+    as the original run) through {!run}'s decision loop, checking its
+    first decisions against the journaled prefix [entries], then continue
+    to completion. Since the re-run is the original run, the outcome is
+    byte-identical to the uninterrupted one. [emit] receives only the
+    entries past the prefix, so appending them to the stored journal
+    keeps it a valid whole-run journal. While stored entries remain the
+    wall clock is not read and a stored [Watchdog] ends the run as
+    [Timed_out] there; past them the config's watchdogs apply.
+    @raise Replay_mismatch when a decision differs from its stored entry
+    or the run ends before the entries do. *)
 
 val replay :
   ?upto:int -> entries:Journal.entry array -> ('m, 'a) config -> 'a Types.outcome
-(** Time-travel: deterministically re-execute the first [upto] journal
-    entries (default: all) and freeze. The scheduler is never consulted,
-    so any placeholder scheduler works. A complete journal replays to
-    the original termination; a truncated prefix returns a [Cutoff]
-    outcome whose trace/metrics are the run's state at that decision.
-    @raise Replay_mismatch when the config does not match the journal.
+(** Time travel: re-run the journal's own config — its scheduler
+    included — through {!run}'s decision loop for the first [upto]
+    journal entries (default: all), checking each decision against its
+    stored entry, and freeze. A complete journal replays to the original
+    termination; a truncated prefix returns a [Cutoff] outcome whose
+    trace/metrics are the run's state at that decision. The wall clock
+    is not read and a stored [Watchdog] ends the run as [Timed_out].
+    @raise Replay_mismatch when a decision differs from its stored entry
+    (a journal replayed under the wrong scheduler included) or the run
+    ends before the entries do.
     @raise Invalid_argument when [upto] is negative. *)
 
 val moves_with_wills :
@@ -198,15 +208,13 @@ val moves_with_defaults : default:(int -> 'a) -> 'a Types.outcome -> 'a array
 val message_pattern : 'a Types.outcome -> Scheduler.pattern_event list
 (** Chronological (s/d,i,j,k) pattern of the run, as in Lemma 6.8. *)
 
-(** The model checker's branching hook: the same driver state machine as
-    {!run}, but the caller is the environment — it picks every delivery
-    itself, one step at a time, and may fork the state with {!Step.clone}
-    instead of replaying a prefix (replay-free branching, where process
-    state is copyable). No scheduler, no fault plan, no watchdogs; the
-    delivery semantics (implicit start activation, mediator-batch
-    tracking, move/halt bookkeeping, trace/metrics emission) are shared
-    code with {!run}, so a Step-driven history is bit-for-bit a legal
-    {!run} history. *)
+(** The model checker's step-at-a-time hook: the same driver state
+    machine as {!run}, but the caller is the environment — it picks every
+    delivery itself, one step at a time. No scheduler, no fault plan, no
+    watchdogs; the delivery semantics (implicit start activation,
+    mediator-batch tracking, move/halt bookkeeping, trace/metrics
+    emission) are shared code with {!run}, so a Step-driven history is
+    bit-for-bit a legal {!run} history. *)
 module Step : sig
   type ('m, 'a) t
 
@@ -236,12 +244,6 @@ module Step : sig
 
   val steps : ('m, 'a) t -> int
 
-  val moves : ('m, 'a) t -> 'a option array
-  (** Live array; do not mutate. *)
-
-  val halted : ('m, 'a) t -> bool array
-  (** Live array; do not mutate. *)
-
   val pending_all_halted : ('m, 'a) t -> bool
   (** True when messages are pending but every destination has halted —
       the checker's stuck-state (deadlock-in-spirit) predicate: the
@@ -252,8 +254,8 @@ module Step : sig
       multiset keyed by channel coordinates + payload hashes, moves,
       halted/started flags, channel seq counters, and each pending
       batch's partially-delivered bit. Process-internal closure state is
-      not covered — combine with a protocol-level digest for a full
-      state fingerprint (see [Analysis.Mc]). *)
+      not covered, which is why [Analysis.Mc] counts states with it but
+      never prunes on it (DESIGN.md section 13). *)
 
   val finish : ('m, 'a) t -> 'a Types.outcome
   (** Outcome of a maximal history ([All_halted]/[Quiescent]).
@@ -267,12 +269,4 @@ module Step : sig
   val cutoff : ('m, 'a) t -> 'a Types.outcome
   (** End a truncated history as [Cutoff] (messages stay pending in the
       trace sense; no drops), mirroring {!run}'s max_steps exit. *)
-
-  val clone : ('m, 'a) t -> processes:('m, 'a) Types.process array -> ('m, 'a) t
-  (** Fork the driver state. [processes] must be the caller's own copy of
-      the process array (process state lives in closures the driver
-      cannot copy — fixtures expose a snapshot hook for this, see
-      [Analysis.Mc.instance]). Pending ids, seqs and arrival order are
-      preserved, so delivering the same ids in the same order in both
-      forks yields identical traces. *)
 end

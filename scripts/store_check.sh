@@ -3,6 +3,9 @@
 # `make store-check`:
 #
 #   1. journal a run, replay it, require the stored-trace verification;
+#      the same for a faulted run (burnt decisions and fallbacks in the
+#      journal) and for that run cut short by --fuel (a journal ending on
+#      a watchdog entry), plus time travel into the faulted journal;
 #   2. tear the final record off the store: replay must recover with a
 #      warning and exit 0, and time travel must still work;
 #   3. an unrecoverable store must exit 1, a usage error 2;
@@ -31,6 +34,22 @@ fail() {
   || fail "clean replay exited non-zero"
 grep -q "verified: replay matches" "$WORK/replay.out" \
   || fail "clean replay did not verify against the stored trace"
+
+FAULTS="--faults dup=0.1,delay=0.2,crash=0.1"
+"$CTMED" run coordination --seed 3 $FAULTS --journal "$WORK/faults.ctst" >/dev/null \
+  || fail "journaled faulted run failed"
+"$CTMED" run coordination --seed 3 $FAULTS --fuel 800 --journal "$WORK/fuel.ctst" >/dev/null \
+  || fail "journaled fuel-limited run failed"
+for store in faults fuel; do
+  "$CTMED" replay "$WORK/$store.ctst" >"$WORK/$store.out" 2>&1 \
+    || fail "$store replay exited non-zero: $(cat "$WORK/$store.out")"
+  grep -q "verified: replay matches" "$WORK/$store.out" \
+    || fail "$store replay did not verify against the stored trace"
+done
+"$CTMED" replay "$WORK/faults.ctst" --at 100 >"$WORK/at.out" 2>&1 \
+  || fail "time travel into the faulted store failed"
+grep -q "^replayed 100/" "$WORK/at.out" \
+  || fail "time travel did not stop after 100 decisions: $(head -1 "$WORK/at.out")"
 
 # --- 2. torn final record: recover, warn, exit 0 ------------------------
 truncate -s -3 "$WORK/run.ctst" || fail "cannot tear the store"

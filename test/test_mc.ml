@@ -2,9 +2,9 @@
    against the naive Sim.Explore backend, against the race detector's
    happens-before relation and against sampled Runner runs; the
    reduction-ratio and parallel-determinism guarantees from the
-   acceptance criteria; relaxed stop-cut coverage; the fingerprint-keyed
-   Graph backend; the counterexample minimizer; and the Experiments.Check
-   fixture catalog behind `ctmed check` / `make check`. *)
+   acceptance criteria; relaxed stop-cut coverage; the counterexample
+   minimizer; and the Experiments.Check fixture catalog behind
+   `ctmed check` / `make check`. *)
 
 module Mc = Analysis.Mc
 module Fx = Analysis.Fixtures
@@ -24,10 +24,10 @@ let check_same_classes name a b =
 
 let dpor ?pool ?properties ?require_confluence ?relaxed ?max_states make =
   Mc.check ~backend:Mc.Dpor ?pool ?properties ?require_confluence ?max_states
-    (Mc.of_processes ?relaxed make)
+    (Mc.system ?relaxed make)
 
 let naive ?properties ?relaxed ?max_states make =
-  Mc.check ~backend:Mc.Naive ?properties ?max_states (Mc.of_processes ?relaxed make)
+  Mc.check ~backend:Mc.Naive ?properties ?max_states (Mc.system ?relaxed make)
 
 (* ------------------------------------------------------------------ *)
 (* DPOR vs naive on the existing demo fixtures. *)
@@ -90,7 +90,7 @@ let test_reduction_ratio () =
 let test_parallel_determinism () =
   let run pool =
     Mc.check ~backend:Mc.Dpor ~pool ~properties:[ Fx.quorum_validity ]
-      (Mc.of_processes ~relaxed:true (Fx.quorum_vote ~n:3 ~zeros:2))
+      (Mc.system ~relaxed:true (Fx.quorum_vote ~n:3 ~zeros:2))
   in
   let v1 = run Parallel.Pool.sequential in
   let v4 = Parallel.Pool.with_pool ~domains:4 run in
@@ -136,7 +136,7 @@ let test_quorum_pass () =
   Alcotest.(check bool) "n=4 exhaustive" true v.Mc.exhaustive
 
 let test_quorum_violation_minimized () =
-  let sys = Mc.of_processes (Fx.quorum_vote ~n:3 ~zeros:2) in
+  let sys = Mc.system (Fx.quorum_vote ~n:3 ~zeros:2) in
   let v = Mc.check ~properties:[ Fx.quorum_validity ] sys in
   Alcotest.(check bool) "n=3 validity fails" false v.Mc.pass;
   match v.Mc.violation with
@@ -154,34 +154,6 @@ let test_quorum_violation_minimized () =
       in
       Alcotest.(check bool) "replay reproduces the violation" true
         (Fx.quorum_validity.Mc.p_check ~stopped:ce.Mc.ce_stopped ~willed o <> None)
-
-(* ------------------------------------------------------------------ *)
-(* The Graph backend: fingerprint-keyed BFS with the snapshot fast path. *)
-
-let test_graph_backend () =
-  let sys () = Mc.system Fx.summing in
-  let g = Mc.check ~backend:Mc.Graph (sys ()) in
-  let d = Mc.check ~backend:Mc.Dpor (sys ()) in
-  let n = Mc.check ~backend:Mc.Naive (sys ()) in
-  Alcotest.(check bool) "graph exhaustive" true g.Mc.exhaustive;
-  check_same_classes "graph vs dpor" g d;
-  check_same_classes "graph vs naive" g n;
-  (* converging branches merge: far fewer states than naive histories *)
-  Alcotest.(check bool) "graph states < naive histories" true
-    (g.Mc.stats.Mc.states < n.Mc.stats.Mc.runs);
-  Alcotest.(check bool) "graph revisits counted" true (g.Mc.stats.Mc.revisits > 0)
-
-let test_graph_requires_digest () =
-  let rejects descr f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail (descr ^ ": Invalid_argument expected")
-  in
-  rejects "no digest" (fun () ->
-      Mc.check ~backend:Mc.Graph (Mc.of_processes Fx.ping_pong));
-  rejects "relaxed" (fun () ->
-      Mc.check ~backend:Mc.Graph
-        { Mc.sys_make = Fx.summing; sys_mediator = None; sys_relaxed = true })
 
 (* ------------------------------------------------------------------ *)
 (* Independence cross-validation: the checker's happens-before races must
@@ -295,46 +267,6 @@ let test_step_interface () =
     (o.Sim.Types.termination = Sim.Types.All_halted);
   Alcotest.(check (list (option int))) "moves" [ Some 1; Some 0 ]
     (Array.to_list o.Sim.Types.moves)
-
-let test_step_clone_equivalence () =
-  let module Step = Sim.Runner.Step in
-  let c = Step.create (Fx.byzantine_echo ()) in
-  Step.deliver_starts c;
-  (* fork, then deliver the same pending id in both: driver state agrees *)
-  let c' = Step.clone c ~processes:(Fx.byzantine_echo ()) in
-  let v = Sim.Pending_set.oldest (Step.pending c) in
-  Step.deliver c ~id:v.Sim.Types.id;
-  Step.deliver c' ~id:v.Sim.Types.id;
-  Alcotest.(check int) "same steps" (Step.steps c) (Step.steps c');
-  Alcotest.(check bool) "same state hash" true
-    (Step.state_hash c = Step.state_hash c');
-  (* stopping one fork does not disturb the other *)
-  let o = Step.stop c' in
-  Alcotest.(check bool) "stopped fork is deadlocked" true
-    (o.Sim.Types.termination = Sim.Types.Deadlocked);
-  Alcotest.(check bool) "original fork still live" true
-    (not (Sim.Pending_set.is_empty (Step.pending c)))
-
-(* ------------------------------------------------------------------ *)
-(* Engine.digest: the protocol-level fingerprint hook the Graph backend
-   and the instance digests rely on. *)
-
-let test_engine_digest () =
-  let mk () =
-    Mpc.Engine.create ~n:4 ~degree:1 ~faults:1 ~me:0
-      ~circuit:(Circuit.sum ~n_inputs:4) ~input:(Field.Gf.of_int 3)
-      ~rng:(Random.State.make [| 97; 0 |]) ~coin_seed:5 ()
-  in
-  let a = mk () and b = mk () in
-  Alcotest.(check int) "identical engines digest equal" (Mpc.Engine.digest a)
-    (Mpc.Engine.digest b);
-  let d0 = Mpc.Engine.digest a in
-  ignore (Mpc.Engine.start a);
-  Alcotest.(check bool) "starting changes the digest" true
-    (Mpc.Engine.digest a <> d0);
-  ignore (Mpc.Engine.start b);
-  Alcotest.(check int) "same operations, same digest" (Mpc.Engine.digest a)
-    (Mpc.Engine.digest b)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck differential suite: random small protocols, DPOR = naive, and
@@ -492,11 +424,6 @@ let () =
           Alcotest.test_case "quorum n=4 passes" `Quick test_quorum_pass;
           Alcotest.test_case "quorum n=3 minimized" `Quick test_quorum_violation_minimized;
         ] );
-      ( "graph",
-        [
-          Alcotest.test_case "fingerprint BFS" `Quick test_graph_backend;
-          Alcotest.test_case "precondition checks" `Quick test_graph_requires_digest;
-        ] );
       ( "cross-validation",
         [
           Alcotest.test_case "hb races vs vector clocks" `Quick
@@ -508,8 +435,6 @@ let () =
           Alcotest.test_case "explore truncation" `Quick test_explore_truncation;
           Alcotest.test_case "explore agreement" `Quick test_explore_agreement;
           Alcotest.test_case "step interface" `Quick test_step_interface;
-          Alcotest.test_case "step clone" `Quick test_step_clone_equivalence;
-          Alcotest.test_case "engine digest" `Quick test_engine_digest;
         ] );
       ( "catalog",
         [

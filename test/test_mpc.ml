@@ -169,29 +169,32 @@ let engine_proc ~n ~t ~me ~circuit ~input ~coin_seed ~results =
     (match r.Engine.result with Some v -> results.(me) <- Some v | None -> ());
     to_effects r.Engine.sends
   in
-  {
-    start = (fun () -> emit (Engine.start e));
-    receive = (fun ~src m -> emit (Engine.handle e ~src m));
-    will = (fun () -> None);
-  }
+  ( e,
+    {
+      start = (fun () -> emit (Engine.start e));
+      receive = (fun ~src m -> emit (Engine.handle e ~src m));
+      will = (fun () -> None);
+    } )
 
+(* The engines (to read after the run) and each player's result. *)
 let run_mpc ?(sched_seed = 0) ?(t = 1) ~circuit ~inputs () =
   let n = Array.length inputs in
   let results = Array.make n None in
-  let procs =
-    Array.init n (fun me ->
-        engine_proc ~n ~t ~me ~circuit ~input:inputs.(me) ~coin_seed:(sched_seed + 77)
-          ~results)
+  let engines, procs =
+    Array.split
+      (Array.init n (fun me ->
+           engine_proc ~n ~t ~me ~circuit ~input:inputs.(me) ~coin_seed:(sched_seed + 77)
+             ~results))
   in
-  let o = run ~sched:(Sim.Scheduler.random_seeded sched_seed) procs in
-  (o, results)
+  ignore (run ~sched:(Sim.Scheduler.random_seeded sched_seed) procs);
+  (engines, results)
 
 let ints l = Array.of_list (List.map Gf.of_int l)
 
 let test_engine_identity () =
   let circuit = Circuit.identity_selector ~n_inputs:4 in
   let inputs = ints [ 10; 20; 30; 40 ] in
-  let _o, results = run_mpc ~circuit ~inputs () in
+  let _, results = run_mpc ~circuit ~inputs () in
   Array.iteri
     (fun i r ->
       match r with
@@ -204,7 +207,7 @@ let test_engine_sum () =
   let inputs = ints [ 1; 2; 3; 4 ] in
   List.iter
     (fun seed ->
-      let _o, results = run_mpc ~sched_seed:seed ~circuit ~inputs () in
+      let _, results = run_mpc ~sched_seed:seed ~circuit ~inputs () in
       Array.iter
         (fun r ->
           match r with
@@ -217,7 +220,7 @@ let test_engine_majority () =
   (* Exercises multiplication gates (degree reduction). *)
   let circuit = Circuit.majority ~n_inputs:5 in
   let inputs = ints [ 1; 1; 1; 0; 0 ] in
-  let _o, results = run_mpc ~circuit ~inputs () in
+  let _, results = run_mpc ~circuit ~inputs () in
   Array.iter
     (fun r ->
       match r with
@@ -228,7 +231,7 @@ let test_engine_majority () =
 let test_engine_shared_randomness () =
   let circuit = Circuit.coin_plus_input ~n_inputs:4 in
   let inputs = ints [ 100; 200; 300; 400 ] in
-  let _o, results = run_mpc ~circuit ~inputs () in
+  let _, results = run_mpc ~circuit ~inputs () in
   (* out_i - x_i must be the same shared random value for everyone *)
   let offsets =
     Array.mapi
@@ -333,7 +336,7 @@ let test_engine_bcg_mode () =
   (* n > 4t: the BCG errorless regime, with a mul-heavy circuit. *)
   let circuit = Circuit.majority ~n_inputs:5 in
   let inputs = ints [ 0; 0; 1; 0; 1 ] in
-  let _o, results = run_mpc ~t:1 ~circuit ~inputs () in
+  let _, results = run_mpc ~t:1 ~circuit ~inputs () in
   Array.iter
     (fun r ->
       match r with
@@ -366,18 +369,48 @@ let random_small_circuit rng ~n ~max_muls =
   let outputs = Array.init n (fun _ -> n_gates - 1 - Random.State.int rng (min 4 n_gates)) in
   Circuit.create ~n_inputs:n ~n_random:0 ~gates ~outputs ()
 
+(* One random-circuit run at n = 4, t = 1: the inputs, every player's
+   input core read after the run (at result time a player may not know
+   it yet), and whether every result equals the circuit evaluated over
+   given inputs. *)
+let random_mpc seed =
+  let rng = Random.State.make [| seed; 97 |] in
+  let circuit = random_small_circuit rng ~n:4 ~max_muls:2 in
+  let inputs = Array.init 4 (fun _ -> Gf.random rng) in
+  let engines, results = run_mpc ~sched_seed:seed ~t:1 ~circuit ~inputs () in
+  let matches inputs =
+    Array.for_all2
+      (fun r e -> match r with Some v -> Gf.equal v e | None -> false)
+      results
+      (Circuit.eval circuit ~inputs ~random:[||])
+  in
+  (inputs, Array.map Engine.input_core engines, matches)
+
+(* The players compute over the agreed input core, not over every input:
+   the ACS may leave out any t dealers, honest ones included (a core
+   needs only n - t), and an excluded dealer's input counts as 0. So every
+   player must report the same core of at least n - t dealers, and every
+   result must equal the circuit over the inputs zeroed outside it — the
+   plain clear evaluation when the core is everyone. *)
+let mpc_matches_core_eval seed =
+  let inputs, cores, matches = random_mpc seed in
+  match cores.(0) with
+  | Some core when List.length core >= 3 && Array.for_all (( = ) cores.(0)) cores ->
+      matches (Array.mapi (fun d x -> if List.mem d core then x else Gf.zero) inputs)
+  | _ -> false
+
 let prop_mpc_matches_clear_eval =
   QCheck.Test.make ~name:"MPC = clear evaluation (random circuits, random schedulers)"
-    ~count:25 QCheck.pos_int (fun seed ->
-      let rng = Random.State.make [| seed; 97 |] in
-      let n = 4 in
-      let circuit = random_small_circuit rng ~n ~max_muls:2 in
-      let inputs = Array.init n (fun _ -> Gf.random rng) in
-      let expected = Circuit.eval circuit ~inputs ~random:[||] in
-      let _o, results = run_mpc ~sched_seed:seed ~t:1 ~circuit ~inputs () in
-      Array.for_all2
-        (fun r e -> match r with Some v -> Gf.equal v e | None -> false)
-        results expected)
+    ~count:25 QCheck.pos_int mpc_matches_core_eval
+
+let test_engine_core_without_honest_dealer () =
+  let seed = 2422770305318524234 in
+  let inputs, cores, matches = random_mpc seed in
+  Alcotest.(check (array (option (list int))))
+    "every core leaves honest player 0 out" (Array.make 4 (Some [ 1; 2; 3 ])) cores;
+  Alcotest.(check bool) "so the plain clear evaluation fails" false (matches inputs);
+  Alcotest.(check bool) "and the evaluation over the core holds" true
+    (mpc_matches_core_eval seed)
 
 let prop_mpc_crash_still_correct =
   QCheck.Test.make ~name:"MPC with one crash computes over the core set" ~count:10
@@ -446,6 +479,8 @@ let () =
           Alcotest.test_case "crash tolerance" `Quick test_engine_crash;
           Alcotest.test_case "corrupted output shares" `Quick test_engine_corrupted_output_shares;
           Alcotest.test_case "bcg mode" `Quick test_engine_bcg_mode;
+          Alcotest.test_case "core without an honest dealer" `Quick
+            test_engine_core_without_honest_dealer;
         ] );
       ("props", qsuite [ prop_mpc_matches_clear_eval; prop_mpc_crash_still_correct ]);
     ]

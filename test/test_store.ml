@@ -2,7 +2,8 @@
    store (round-trip, torn-write recovery, sparse-index random access),
    the decision journal as a checkpoint (resume byte-identity at every
    split point, with and without faults, across a mediator batch
-   boundary), scheduler-free replay (time travel), and the engine's
+   boundary), replay by re-running the journal's own config (time
+   travel, and the mismatches it catches), and the engine's
    crash-restart supervisor (kill-switch interrupt, shard checkpoint
    corruption, manifest validation). *)
 
@@ -365,25 +366,13 @@ let test_resume_across_mediator_batch_boundary () =
       (Obs.Metrics.delivered_total m + Obs.Metrics.dropped_total m)
   done
 
-let booby_trapped =
-  {
-    Scheduler.name = "booby-trapped";
-    relaxed = false;
-    history = false;
-    reset = (fun () -> ());
-    choose = (fun ~step:_ ~history:_ ~pending:_ -> failwith "scheduler consulted");
-  }
-
-let test_replay_is_scheduler_free () =
-  (* time travel never consults the scheduler: a booby-trapped one must
-     reproduce the run exactly from the journal alone *)
+let test_replay_reproduces_the_run () =
+  (* replay re-runs the journal's own config, scheduler included, and
+     checks every decision against the journal *)
   List.iter
     (fun seed ->
       let full, entries = journal_run (mk_cfg seed) in
-      let cfg =
-        Runner.config ~scheduler:booby_trapped (mk_world ())
-      in
-      let o = Runner.replay ~entries cfg in
+      let o = Runner.replay ~entries (mk_cfg seed) in
       same_outcome (Printf.sprintf "replay seed %d" seed) full o)
     [ 1; 2; 5 ]
 
@@ -394,10 +383,7 @@ let test_replay_prefix_freezes () =
   let prev_events = ref (-1) in
   List.iter
     (fun k ->
-      let o =
-        Runner.replay ~upto:k ~entries
-          (Runner.config ~scheduler:booby_trapped (mk_world ()))
-      in
+      let o = Runner.replay ~upto:k ~entries (mk_cfg seed) in
       if k < total then
         Alcotest.(check bool)
           (Printf.sprintf "upto %d freezes as Cutoff" k)
@@ -429,10 +415,47 @@ let test_replay_mismatch_detected () =
   | exception Runner.Replay_mismatch _ -> ());
   match
     Runner.replay ~entries
-      (Runner.config ~scheduler:booby_trapped (mk_world ~rounds:1 ()))
+      (Runner.config ~scheduler:(Scheduler.random_seeded 1) (mk_world ~rounds:1 ()))
   with
   | _ -> Alcotest.fail "replay against the wrong world accepted"
   | exception Runner.Replay_mismatch _ -> ()
+
+let test_replay_wrong_scheduler_detected () =
+  (* same world, same seed for the world, another scheduler: the journal
+     no longer describes the run *)
+  let _, entries = journal_run (mk_cfg 1) in
+  match
+    Runner.replay ~entries
+      (Runner.config ~scheduler:(Scheduler.random_seeded 2) (mk_world ()))
+  with
+  | _ -> Alcotest.fail "replay under the wrong scheduler accepted"
+  | exception Runner.Replay_mismatch _ -> ()
+
+let test_surplus_entries_detected () =
+  (* an entry past the run's end is not silently ignored, by replay or
+     by resume *)
+  let _, entries = journal_run (mk_cfg 1) in
+  let padded = Array.append entries [| entries.(Array.length entries - 1) |] in
+  (match Runner.replay ~entries:padded (mk_cfg 1) with
+  | _ -> Alcotest.fail "replay of a journal longer than its run accepted"
+  | exception Runner.Replay_mismatch _ -> ());
+  match Runner.resume ~entries:padded (mk_cfg 1) with
+  | _ -> Alcotest.fail "resume of a journal longer than its run accepted"
+  | exception Runner.Replay_mismatch _ -> ()
+
+let test_stored_watchdog_ends_the_replay () =
+  (* a stored Watchdog ends the replay where it stands, whatever the
+     rebuilt config's watchdogs say: a wall-clock journal replays on
+     any host *)
+  let seed = 1 in
+  let fueled =
+    Runner.config ~fuel:10 ~scheduler:(Scheduler.random_seeded seed) (mk_world ())
+  in
+  let full, entries = journal_run fueled in
+  Alcotest.(check bool) "the fuel fired" true (full.T.termination = T.Timed_out);
+  Alcotest.(check bool) "the journal ends on the watchdog" true
+    (J.equal entries.(Array.length entries - 1) J.Watchdog);
+  same_outcome "replay without fuel" full (Runner.replay ~entries (mk_cfg seed))
 
 (* ------------------------------------------------------------------ *)
 (* Store + journal end to end: the ctmed run --journal shape *)
@@ -609,12 +632,18 @@ let () =
             test_resume_with_faults_across_boundary;
           Alcotest.test_case "mediator batch survives the boundary" `Quick
             test_resume_across_mediator_batch_boundary;
-          Alcotest.test_case "replay is scheduler-free" `Quick
-            test_replay_is_scheduler_free;
+          Alcotest.test_case "replay reproduces the run" `Quick
+            test_replay_reproduces_the_run;
           Alcotest.test_case "time travel freezes prefixes" `Quick
             test_replay_prefix_freezes;
           Alcotest.test_case "mismatched config detected" `Quick
             test_replay_mismatch_detected;
+          Alcotest.test_case "wrong scheduler detected" `Quick
+            test_replay_wrong_scheduler_detected;
+          Alcotest.test_case "surplus entries detected" `Quick
+            test_surplus_entries_detected;
+          Alcotest.test_case "stored watchdog ends the replay" `Quick
+            test_stored_watchdog_ends_the_replay;
           Alcotest.test_case "store + journal end to end" `Quick
             test_store_journal_end_to_end;
         ] );
