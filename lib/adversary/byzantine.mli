@@ -8,11 +8,6 @@ val silent : unit -> ('m, 'a) Sim.Types.process
 val crash_after : int -> ('m, 'a) Sim.Types.process -> ('m, 'a) Sim.Types.process
 (** Behave honestly for [k] activations (start counts as one), then die. *)
 
-val tamper_sends :
-  ((int * 'm) -> (int * 'm) option) -> ('m, 'a) Sim.Types.process -> ('m, 'a) Sim.Types.process
-(** Rewrite (or drop, on [None]) every outgoing message. Moves and halts
-    pass through. *)
-
 val withhold_from : victim:int -> ('m, 'a) Sim.Types.process -> ('m, 'a) Sim.Types.process
 (** Honest, except that nothing is ever sent to [victim]. *)
 

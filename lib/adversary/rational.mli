@@ -30,10 +30,6 @@ val stall_after :
     leaving [will] with the executor — the deadlock-forcing deviation that
     punishment wills neutralise (Theorem 4.4's mechanics). *)
 
-val covert_phase : int
-(** Out-of-range phase tag coalition members use to talk to each other
-    over the cheap-talk channel (honest players ignore it). *)
-
 val pitfall_coalition :
   Cheaptalk.Phased.config ->
   partner:int ->

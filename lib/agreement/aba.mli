@@ -9,8 +9,9 @@
       expectedly O(1) rounds; each then halts after collecting n-f DECIDE
       announcements.
 
-    Like {!Broadcast.Rbc}, a session is a passive state machine driven by
-    the embedding process. *)
+    A session is a passive state machine driven by the embedding process:
+    the MPC engine runs one per input-core vote and per multiplication
+    vote. *)
 
 type msg =
   | Bval of { round : int; value : bool }

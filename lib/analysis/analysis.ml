@@ -4,9 +4,9 @@
     Four analyzers (see each module's documentation for the exact checks
     and their soundness/completeness caveats):
 
-    - {!Race} — happens-before schedule-race detection over simulator runs
-      (vector clocks + swap replay), cross-validated against
-      {!Sim.Explore} ground truth on small instances;
+    - {!Race} — schedule-race detection over simulator runs: swap replay
+      of the candidate pairs {!Mc}'s happens-before relation finds,
+      checked against {!Sim.Explore} ground truth on small instances;
     - {!Effect_lint} — effect-discipline linting of traces and process
       wrappers (duplicate moves, sends after halt, non-monotone seq, ...);
     - {!Circuit_lint} — static circuit and staged-reveal linting;
@@ -22,7 +22,6 @@
     enables via [Cheaptalk.Verify]'s [?check_runs] parameters. *)
 
 module Finding = Finding
-module Vclock = Vclock
 module Thresholds = Thresholds
 module Circuit_lint = Circuit_lint
 module Effect_lint = Effect_lint

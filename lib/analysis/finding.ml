@@ -11,7 +11,6 @@ let v ?(severity = Error) ~analyzer ~subject detail = { analyzer; severity; subj
 let warning ~analyzer ~subject detail = v ~severity:Warning ~analyzer ~subject detail
 let is_error f = f.severity = Error
 let errors fs = List.filter is_error fs
-let warnings fs = List.filter (fun f -> not (is_error f)) fs
 
 let count fs =
   List.fold_left

@@ -24,7 +24,6 @@ val warning : analyzer:string -> subject:string -> string -> t
 
 val is_error : t -> bool
 val errors : t list -> t list
-val warnings : t list -> t list
 
 val count : t list -> int * int
 (** (errors, warnings). *)

@@ -103,8 +103,8 @@ let bs_union a b =
 
    Two deliveries i < j to the same destination are a RACE when
    i ∉ sendpast(j): j's message already existed when i was delivered, so
-   their order was the environment's free choice — exactly the
-   vector-clock candidate condition of {!Race}. *)
+   their order was the environment's free choice — DPOR's backtrack
+   points and {!Race}'s swap candidates. *)
 
 let hb_of ~(events : entry array) ~(sp : int array) =
   let l = Array.length events in
@@ -206,10 +206,19 @@ let events_of_trace trace =
     trace;
   (Array.of_list (List.rev !events), Array.of_list (List.rev !sp))
 
+(* Destination descending, then the first delivery's index, then the
+   second's: the order {!Race.analyze} replays in, so its
+   [max_candidates] cap and its findings follow it. *)
 let races_of_outcome (o : 'a Types.outcome) =
   let events, sp = events_of_trace o.Types.trace in
   let races, _capped = races_of ~events ~sp ~cap:max_int in
-  List.map (fun (i, j, _u) -> (events.(i).dst, events.(i), events.(j))) races
+  let keyed = List.map (fun (i, j, _u) -> (events.(i).dst, i, j)) races in
+  let cmp (d1, i1, j1) (d2, i2, j2) =
+    if d1 <> d2 then Int.compare d2 d1
+    else if i1 <> i2 then Int.compare i1 i2
+    else Int.compare j1 j2
+  in
+  List.map (fun (d, i, j) -> (d, events.(i), events.(j))) (List.sort cmp keyed)
 
 (* ------------------------------------------------------------------ *)
 (* One execution of the system under the checker's control.

@@ -176,9 +176,13 @@ val replay :
 val races_of_outcome : 'a Sim.Types.outcome -> (int * entry * entry) list
 (** The dependent-but-reorderable delivery pairs of one run, [(dst,
     first, second)], computed from the checker's happens-before relation
-    (send-ancestry closure). Cross-validated in the test suite against
-    {!Race.candidates_of_outcome}'s vector-clock relation — the two must
-    agree exactly. *)
+    (send-ancestry closure, two E²-bit relations over E deliveries): the
+    later message's send does not causally depend on the earlier
+    delivery, so their order was the scheduler's free choice. Sorted by
+    destination descending, then by the first delivery's position in the
+    run, then by the second's. {!Race.analyze} takes its swap candidates
+    from here in this order, so DPOR and the race detector share one
+    relation. *)
 
 val repr : ('a -> string) -> 'a verdict -> string
 (** Canonical multi-line serialisation of a verdict — byte-identical at

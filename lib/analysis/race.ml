@@ -2,16 +2,13 @@ open Sim
 
 let analyzer = "race"
 
-(* A delivery, identified schedule-independently by its channel position:
-   the seq-th message from src to dst (the paper's (i,j,k)). Start signals
-   have src = env_pid. *)
-type entry = { e_src : int; e_dst : int; e_seq : int }
+(* A delivery is identified schedule-independently by its channel
+   position, an [Mc.entry]: the seq-th message from src to dst (the
+   paper's (i,j,k)). Start signals have src = env_pid. *)
+let entry_is_start (e : Mc.entry) = e.Mc.src = Types.env_pid
 
-let entry_is_start e = e.e_src = Types.env_pid
-
-let pp_entry fmt e =
-  if entry_is_start e then Format.fprintf fmt "start(%d)" e.e_dst
-  else Format.fprintf fmt "(%d->%d #%d)" e.e_src e.e_dst e.e_seq
+let pp_entry fmt (e : Mc.entry) =
+  if entry_is_start e then Format.fprintf fmt "start(%d)" e.Mc.dst else Mc.pp_entry fmt e
 
 (* ------------------------------------------------------------------ *)
 (* Observation: run under a scheduler, recording the delivery schedule.
@@ -27,7 +24,7 @@ let record_scheduler inner log =
     ~history:inner.Scheduler.history
     (fun ~step ~history ~pending ->
       let pick (v : Types.pending_view) =
-        log := { e_src = v.Types.src; e_dst = v.Types.dst; e_seq = v.Types.seq } :: !log;
+        log := { Mc.src = v.Types.src; dst = v.Types.dst; seq = v.Types.seq } :: !log;
         Types.Deliver v.Types.id
       in
       match Pending_set.find pending (fun v -> v.Types.src = Types.env_pid) with
@@ -57,7 +54,7 @@ let replay_scheduler script ~hold ~promote diverged =
             else begin
               match
                 Pending_set.find pending (fun v ->
-                    v.Types.src = e.e_src && v.Types.dst = e.e_dst && v.Types.seq = e.e_seq)
+                    v.Types.src = e.Mc.src && v.Types.dst = e.Mc.dst && v.Types.seq = e.Mc.seq)
               with
               | Some v ->
                   remaining := List.rev_append acc rest;
@@ -80,7 +77,7 @@ let replay_scheduler script ~hold ~promote diverged =
 
 type 'a sig_ev = S of int | M of 'a | H
 
-type 'a slot = { trig : entry; mutable rev_sig : 'a sig_ev list }
+type 'a slot = { trig : Mc.entry; mutable rev_sig : 'a sig_ev list }
 
 let slots_of_trace trace =
   let slots = ref [] in
@@ -99,9 +96,9 @@ let slots_of_trace trace =
              yet is the implicit start the runner performs before the first
              receive: same scheduling slot *)
           match !cur with
-          | Some { trig; rev_sig = [] } when (not (entry_is_start trig)) && trig.e_dst = p -> ()
-          | _ -> push { e_src = Types.env_pid; e_dst = p; e_seq = 1 })
-      | Types.Delivered { src; dst; seq } -> push { e_src = src; e_dst = dst; e_seq = seq }
+          | Some { trig; rev_sig = [] } when (not (entry_is_start trig)) && trig.Mc.dst = p -> ()
+          | _ -> push { Mc.src = Types.env_pid; dst = p; seq = 1 })
+      | Types.Delivered { src; dst; seq } -> push { Mc.src; dst; seq }
       | Types.Sent { dst; _ } -> emit (S dst)
       | Types.Moved { action; _ } -> emit (M action)
       | Types.Halted _ -> emit H
@@ -117,82 +114,13 @@ let signature s = List.rev s.rev_sig
 let slot_for slots e = List.find_opt (fun s -> s.trig = e) slots
 
 (* ------------------------------------------------------------------ *)
-(* Happens-before over one observed schedule. Candidate races: two
-   message deliveries to the same process whose order the scheduler chose
-   (the later message's send does not causally depend on the earlier
-   delivery). Start signals are excluded: the runner orders start before
-   every receive semantically, so their position carries no information. *)
-
-type candidate = { c_dst : int; c_first : entry; c_second : entry }
-
-let candidates_of_slots ~n slots =
-  let clock = Array.init n (fun _ -> Vclock.zero n) in
-  let send_clock : (int * int * int, Vclock.t) Hashtbl.t = Hashtbl.create 64 in
-  let seq_out = Array.make_matrix n n 0 in
-  (* deliveries.(q): (entry, q's activation count at that delivery), newest first *)
-  let deliveries = Array.make n [] in
-  List.iter
-    (fun s ->
-      let e = s.trig in
-      let p = e.e_dst in
-      if p >= 0 && p < n then begin
-        let base =
-          if entry_is_start e then clock.(p)
-          else begin
-            let mc =
-              try Hashtbl.find send_clock (e.e_src, e.e_dst, e.e_seq)
-              with Not_found -> Vclock.zero n
-            in
-            Vclock.join clock.(p) mc
-          end
-        in
-        clock.(p) <- Vclock.tick base p;
-        if not (entry_is_start e) then
-          deliveries.(p) <- (e, Vclock.get clock.(p) p) :: deliveries.(p);
-        (* stamp the sends this activation emitted *)
-        List.iter
-          (function
-            | S dst when dst >= 0 && dst < n ->
-                seq_out.(p).(dst) <- seq_out.(p).(dst) + 1;
-                Hashtbl.replace send_clock (p, dst, seq_out.(p).(dst)) clock.(p)
-            | S _ | M _ | H -> ())
-          (signature s)
-      end)
-    slots;
-  let cands = ref [] in
-  for q = n - 1 downto 0 do
-    let ds = List.rev deliveries.(q) in
-    (* all ordered pairs (i < j) with send(j) not causally after deliver(i) *)
-    let rec pairs = function
-      | [] -> ()
-      | (e1, c1) :: rest ->
-          List.iter
-            (fun (e2, _) ->
-              let mc2 =
-                try Hashtbl.find send_clock (e2.e_src, e2.e_dst, e2.e_seq)
-                with Not_found -> Vclock.zero n
-              in
-              if Vclock.get mc2 q < c1 then
-                cands := { c_dst = q; c_first = e1; c_second = e2 } :: !cands)
-            rest;
-          pairs rest
-    in
-    pairs ds
-  done;
-  List.rev !cands
-
-let candidates_of_outcome (o : 'a Types.outcome) =
-  let n = Array.length o.Types.moves in
-  candidates_of_slots ~n (slots_of_trace o.Types.trace)
-
-(* ------------------------------------------------------------------ *)
 
 type verdict = Outcome_race | Effect_race
 
 type race = {
   dst : int;
-  first : entry;
-  second : entry;
+  first : Mc.entry;
+  second : Mc.entry;
   verdict : verdict;
   scheduler : string;
   detail : string;
@@ -208,7 +136,6 @@ type report = {
 }
 
 let has_outcome_race r = List.exists (fun x -> x.verdict = Outcome_race) r.races
-let is_clean r = r.races = []
 
 let default_schedulers () =
   [
@@ -225,7 +152,7 @@ let run_under ~max_steps ~make sched =
 
 let analyze ?schedulers ?(max_steps = 20_000) ?(max_candidates = 400) ~make () =
   let schedulers = match schedulers with Some s -> s | None -> default_schedulers () in
-  let seen : (int * entry * entry, unit) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (int * Mc.entry * Mc.entry, unit) Hashtbl.t = Hashtbl.create 64 in
   let races = ref [] in
   let runs = ref 0 in
   let candidates = ref 0 in
@@ -238,10 +165,12 @@ let analyze ?schedulers ?(max_steps = 20_000) ?(max_candidates = 400) ~make () =
       let o = run_under ~max_steps ~make (record_scheduler sched log) in
       incr runs;
       let schedule = List.rev !log in
-      let n = Array.length o.Types.moves in
       let slots = slots_of_trace o.Types.trace in
+      (* candidate races: two deliveries to one process whose order was
+         the scheduler's free choice (the later message's send does not
+         causally depend on the earlier delivery) *)
       List.iter
-        (fun { c_dst; c_first; c_second } ->
+        (fun (c_dst, c_first, c_second) ->
           let key = (c_dst, c_first, c_second) in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.replace seen key ();
@@ -292,7 +221,7 @@ let analyze ?schedulers ?(max_steps = 20_000) ?(max_candidates = 400) ~make () =
                     :: !races
             end
           end)
-        (candidates_of_slots ~n slots))
+        (Mc.races_of_outcome o))
     schedulers;
   {
     races = List.rev !races;

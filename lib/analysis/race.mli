@@ -3,20 +3,21 @@
     The paper's guarantees quantify over {e all} schedulers, so the
     deadliest bug class in this reproduction is silent schedule
     sensitivity: a protocol whose outcome depends on delivery order where
-    the theorems say it must not. This analyzer finds such dependence on
-    real (large) protocols where {!Sim.Explore}'s exhaustive enumeration
-    is infeasible:
+    the theorems say it must not. This analyzer looks for such dependence
+    along a handful of observed schedules instead of enumerating them
+    all; `ctmed lint` runs it on its small fixtures and the mediator
+    game:
 
     + run the protocol under a family of schedulers, recording the full
       delivery schedule (start signals normalised first — the runner
       activates start before the first receive regardless of schedule, so
       this is behaviour-preserving);
-    + compute vector clocks over the run: each activation ticks its
-      process's component, each send stamps the sender's clock, each
-      delivery joins the message clock into the receiver. Two deliveries
-      to the same process are a {e candidate race} when the later
-      message's send does not causally depend on the earlier delivery —
-      their order was the scheduler's free choice;
+    + take the run's {e candidate races} from {!Mc.races_of_outcome}, the
+      happens-before relation DPOR uses: two deliveries to the same
+      process whose later message's send does not causally depend on the
+      earlier delivery — their order was the scheduler's free choice.
+      That relation keeps two E²-bit relations over a run's E
+      deliveries, which bounds the runs this detector is meant for;
     + for every candidate, {e replay} the run with the pair swapped (the
       held delivery waits until the promoted one lands; everything else
       keeps its causal order) and compare: different final moves is an
@@ -30,28 +31,10 @@
     is evidence, not proof. [Effect_race]s are common and usually benign
     (any threshold-waiting protocol emits its batch from whichever
     activation crosses the threshold); [Outcome_race]s are what the
-    theorems forbid. Verdicts are cross-validated against {!Sim.Explore}
-    ground truth in the test suite. *)
+    theorems forbid. Verdicts are checked against {!Sim.Explore} ground
+    truth in the test suite. *)
 
 val analyzer : string
-
-type entry = { e_src : int; e_dst : int; e_seq : int }
-(** The seq-th message from src to dst — the paper's (i,j,k). *)
-
-val pp_entry : Format.formatter -> entry -> unit
-
-type candidate = { c_dst : int; c_first : entry; c_second : entry }
-(** Two deliveries to [c_dst] whose order was the scheduler's free choice
-    (the later message's send does not causally depend on the earlier
-    delivery). *)
-
-val candidates_of_outcome : 'a Sim.Types.outcome -> candidate list
-(** The candidate races of one observed run, from its trace alone
-    (vector-clock happens-before, as used by {!analyze}). Exposed so the
-    model checker can cross-validate its independence relation against
-    this detector's happens-before relation on shared fixtures: a pair is
-    a candidate here iff the two deliveries are dependent-but-reorderable
-    there ([Analysis.Mc]'s backtrack condition). *)
 
 type verdict =
   | Outcome_race  (** swapping the pair changes some player's final move *)
@@ -61,8 +44,8 @@ type verdict =
 
 type race = {
   dst : int;  (** the process receiving both messages *)
-  first : entry;  (** delivered earlier in the observed schedule *)
-  second : entry;
+  first : Mc.entry;  (** delivered earlier in the observed schedule *)
+  second : Mc.entry;
   verdict : verdict;
   scheduler : string;  (** observed schedule that exposed the pair *)
   detail : string;
@@ -90,7 +73,6 @@ val analyze :
     [max_steps] 20000, [max_candidates] 400 replays. Deterministic. *)
 
 val has_outcome_race : report -> bool
-val is_clean : report -> bool
 
 val findings : report -> Finding.t list
 (** Outcome races as errors, effect races and coverage caps as warnings. *)

@@ -20,6 +20,7 @@ let required_n th ~k ~t =
 let ok th ~n ~k ~t = n >= required_n th ~k ~t
 let needs_punishment = function T44 | T45 -> true | T41 | T42 -> false
 
+(* The m of the m-punishment the theorem requires. *)
 let punishment_size th ~k ~t =
   match th with
   | T44 -> Some (k + t)

@@ -25,10 +25,6 @@ val ok : theorem -> n:int -> k:int -> t:int -> bool
 val needs_punishment : theorem -> bool
 (** True for 4.4/4.5 (the AH wills carry an m-punishment). *)
 
-val punishment_size : theorem -> k:int -> t:int -> int option
-(** The m of the m-punishment the theorem requires: k+t for 4.4,
-    2k+2t for 4.5, none for 4.1/4.2. *)
-
 val degree : k:int -> t:int -> int
 (** MPC sharing degree, k+t in all four theorems. *)
 

@@ -114,9 +114,6 @@ module Builder : sig
   val sum : t -> int list -> int
   (** Balanced chain of additions; the empty list yields a zero constant. *)
 
-  val poly_eval : t -> Field.Poly.t -> int -> int
-  (** Horner evaluation of a fixed polynomial at a wire. *)
-
   val table_lookup : t -> wire:int -> domain:int -> (int -> Field.Gf.t) -> int
   (** Gate computing f(w) for w in {0..domain-1}, where f is given by the
       table: interpolates the degree-(domain-1) polynomial through the

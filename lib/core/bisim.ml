@@ -155,9 +155,6 @@ type match_result = {
   distance : float;
 }
 
-let pp_match fmt m =
-  Format.fprintf fmt "%s ~ %s (dist %.3f)" m.adversary m.best_match m.distance
-
 let closest target candidates =
   List.fold_left
     (fun acc (name, dist_value) ->

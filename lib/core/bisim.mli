@@ -55,17 +55,6 @@ val standard_med_adversaries : n:int -> coalition:int list -> med_adversary list
     some adversaries on both sides twice; the aggregate counts every
     run that actually happened. *)
 
-val ct_outcome_dist :
-  ?check_runs:bool ->
-  ?pool:Parallel.Pool.t ->
-  ?metrics:Obs.Agg.t ->
-  Compile.plan ->
-  types:int array ->
-  ct_adversary ->
-  samples:int ->
-  seed:int ->
-  Games.Dist.t
-
 val med_outcome_dist :
   ?pool:Parallel.Pool.t ->
   ?metrics:Obs.Agg.t ->
@@ -86,8 +75,6 @@ type match_result = {
   best_match : string;
   distance : float;  (** L1 between the two outcome distributions *)
 }
-
-val pp_match : Format.formatter -> match_result -> unit
 
 val emulation_radius :
   ?check_runs:bool ->

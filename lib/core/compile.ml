@@ -12,7 +12,6 @@ let pp_theorem = Thresholds.pp
 type approach = Default_move | Ah_wills
 
 let required_n = Thresholds.required_n
-let threshold_ok th ~n ~k ~t = Thresholds.ok th ~n ~k ~t
 
 type plan = {
   spec : Spec.t;

@@ -38,8 +38,6 @@ type approach = Default_move | Ah_wills
 val required_n : theorem -> k:int -> t:int -> int
 (** The smallest n the theorem's bound admits. *)
 
-val threshold_ok : theorem -> n:int -> k:int -> t:int -> bool
-
 type plan = private {
   spec : Mediator.Spec.t;
   theorem : theorem;

@@ -73,12 +73,6 @@ val fuzz_msg : src:int -> dst:int -> seq:int -> Mpc.Engine.msg -> Mpc.Engine.msg
 val metrics : run -> Obs.Metrics.t
 (** The run's observability record (see [Obs.Metrics]). *)
 
-val actions_of :
-  Compile.plan -> types:int array -> procs:(Mpc.Engine.msg, int) Sim.Types.process array ->
-  int Sim.Types.outcome -> int array
-(** Project an outcome to an action profile: movers keep their move;
-    non-movers get their will (AH) or the spec default / action 0. *)
-
 (** The Monte-Carlo measurements below accept an optional [?pool]: when
     given, trial seeds are sharded over its domains. Every trial is a
     pure function of its seed (its own scheduler from [scheduler_of],

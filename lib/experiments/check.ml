@@ -126,8 +126,8 @@ let pitfall_sys ~coalition ~seed () =
           | _ -> Pitfall.honest_player ~config:cfg ~me ~type_:0 ~seed))
 
 (* A coin seed under which the shared bit decodes to b = 0, so the
-   coalition refuses phase 1 on every schedule (see pitfall_seed in the
-   test suite: the attack is deterministic once the seed is fixed). *)
+   coalition refuses phase 1 on every schedule: the attack is
+   deterministic once the seed is fixed. *)
 let pitfall_seed = 1
 
 (* --- catalog ---------------------------------------------------------- *)

@@ -38,18 +38,6 @@ val fixtures : fixture list
 val names : string list
 val find : string -> fixture option
 
-val batch_atomicity : int Analysis.Mc.property
-(** Lemma 6.10: in every (stopped or maximal) configuration of the
-    3-player mediator game either no player or every player has moved. *)
-
-val all_decide : int Analysis.Mc.property
-(** Every maximal history ends with every player deciding — what the
-    Section 6.4 coalition breaks. *)
-
-val pitfall_seed : int
-(** A coin seed whose shared bit decodes to b = 0, making the coalition
-    stall deterministic. *)
-
 val reduction :
   ?pool:Parallel.Pool.t -> ?naive_cap:int -> unit -> int * int * bool
 (** [(dpor_runs, naive_runs, naive_capped)] on the pairs fixture, the

@@ -76,9 +76,6 @@ let scheduler_of seed = Sim.Scheduler.random_seeded seed
 let map_trials ctx ~samples ~seed f =
   Cheaptalk.Verify.map_trials ~pool:ctx.pool ~samples ~seed f
 
-let sum_trials ctx ~samples ~seed f =
-  Array.fold_left ( +. ) 0.0 (map_trials ctx ~samples ~seed f)
-
 let map_trials_m ctx ~m ~samples ~seed f =
   let trials = map_trials ctx ~samples ~seed f in
   Cheaptalk.Verify.fold_metrics (Some m) trials;

@@ -67,9 +67,6 @@ val map_trials : ctx -> samples:int -> seed:int -> (int -> 'a) -> 'a array
     for the experiments' [for s = 0 to samples - 1] sweeps. [f] must
     derive everything from its seed argument. *)
 
-val sum_trials : ctx -> samples:int -> seed:int -> (int -> float) -> float
-(** Sum of [map_trials] results (folded in seed order). *)
-
 val map_trials_m :
   ctx -> m:Obs.Agg.t -> samples:int -> seed:int -> (int -> 'a * Obs.Metrics.t) -> 'a array
 (** Like {!map_trials} for trials that also report their run metrics:

@@ -1,7 +1,7 @@
 (* S1-S5 — substrate micro-benchmarks (Bechamel): field ops, Shamir +
-   Berlekamp-Welch, reliable broadcast, binary agreement, AVSS, one full
-   MPC evaluation, and one full cheap-talk compilation run. These support
-   the experiments (performance baselines), they are not paper claims. *)
+   Berlekamp-Welch, binary agreement, AVSS, one full MPC evaluation, and
+   one full cheap-talk compilation run. These support the experiments
+   (performance baselines), they are not paper claims. *)
 
 open Bechamel
 open Toolkit
@@ -123,31 +123,6 @@ let bench_solve_copying =
 
 let run_sim procs sched = ignore (Sim.Runner.run (Sim.Runner.config ~scheduler:sched procs))
 
-let bench_rbc =
-  let make () =
-    let n = 4 and f = 1 in
-    Array.init n (fun me ->
-        let session = Broadcast.Rbc.create ~n ~f ~me ~sender:0 in
-        Sim.Types.
-          {
-            start =
-              (fun () ->
-                if me = 0 then
-                  List.map
-                    (fun (d, m) -> Send (d, m))
-                    (Broadcast.Rbc.broadcast session 42).Broadcast.Rbc.sends
-                else []);
-            receive =
-              (fun ~src m ->
-                List.map
-                  (fun (d, m) -> Send (d, m))
-                  (Broadcast.Rbc.handle session ~src m).Broadcast.Rbc.sends);
-            will = (fun () -> None);
-          })
-  in
-  Test.make ~name:"rbc/broadcast n=4"
-    (Staged.stage (fun () -> run_sim (make ()) (Sim.Scheduler.fifo ())))
-
 let bench_aba =
   let make () =
     let n = 4 and f = 1 in
@@ -238,7 +213,6 @@ let all_tests =
     bench_reconstruct_naive;
     bench_lagrange_warm;
     bench_lagrange_cold;
-    bench_rbc;
     bench_aba;
     bench_avss;
     bench_mpc_sum;

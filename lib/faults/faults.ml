@@ -1,11 +1,5 @@
 type kind = Duplicate | Corrupt | Delay | Crash_restart
 
-let kind_to_string = function
-  | Duplicate -> "dup"
-  | Corrupt -> "corrupt"
-  | Delay -> "delay"
-  | Crash_restart -> "crash"
-
 type config = {
   dup_rate : float;
   corrupt_rate : float;

@@ -31,8 +31,6 @@ type kind =
           decisions, then resumes from its last state — unlike the
           permanent-crash Byzantine transformer, no state is lost *)
 
-val kind_to_string : kind -> string
-
 type config = {
   dup_rate : float;  (** P(duplicate) per message, in [0,1] *)
   corrupt_rate : float;  (** P(corrupt) per message *)

@@ -16,14 +16,6 @@ let coeff (f : t) i = if i < Array.length f then f.(i) else Gf.zero
 let const c = normalise [| c |]
 let one = const Gf.one
 
-let monomial c k =
-  if Gf.equal c Gf.zero then zero
-  else begin
-    let a = Array.make (k + 1) Gf.zero in
-    a.(k) <- c;
-    a
-  end
-
 let degree (f : t) = Array.length f - 1
 let is_zero (f : t) = Array.length f = 0
 let equal (f : t) (g : t) = f = g

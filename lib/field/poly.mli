@@ -20,8 +20,6 @@ val coeff : t -> int -> Gf.t
 (** [coeff f i] is the coefficient of x^i (zero beyond the degree). *)
 
 val const : Gf.t -> t
-val monomial : Gf.t -> int -> t
-(** [monomial c k] is c·x^k. *)
 
 val degree : t -> int
 (** Degree; -1 for the zero polynomial. *)

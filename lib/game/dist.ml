@@ -52,8 +52,6 @@ let product per_coord =
   in
   go 0 [] 1.0 empty
 
-let expect m f = M.fold (fun k w acc -> acc +. (w *. f k)) m 0.0
-
 module Empirical = struct
   type t = { mutable counts : int M.t; mutable total : int }
 

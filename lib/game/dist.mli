@@ -32,8 +32,6 @@ val deterministic : int array -> t
 val product : (int * float) list array -> t
 (** Joint distribution of independent per-coordinate distributions. *)
 
-val expect : t -> (int array -> float) -> float
-
 (** Incremental accumulation of empirical outcome distributions across
     Monte-Carlo runs. *)
 module Empirical : sig

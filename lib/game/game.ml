@@ -36,7 +36,6 @@ let complete_information ?(name = "game") ~n ~action_counts ~utility () =
 type strategy = int -> (int * float) list
 
 let pure a _ = [ (a, 1.0) ]
-let pure_map f x = [ (f x, 1.0) ]
 
 let uniform m =
   let p = 1.0 /. float_of_int m in

@@ -45,7 +45,6 @@ type strategy = int -> (int * float) list
 (** Behavioural strategy: own type ↦ action distribution. *)
 
 val pure : int -> strategy
-val pure_map : (int -> int) -> strategy
 val uniform : int -> strategy
 (** [uniform m] mixes uniformly over actions 0..m-1 regardless of type. *)
 

@@ -35,11 +35,3 @@ let profiles counts =
 let sub_profiles members counts =
   let choices = List.map (fun i -> List.init counts.(i) (fun a -> a)) members in
   List.map Array.of_list (cartesian choices)
-
-let functions dom cod =
-  let images = cartesian (List.map (fun _ -> cod) dom) in
-  List.map
-    (fun image ->
-      let table = List.combine dom image in
-      fun x -> List.assoc x table)
-    images

@@ -22,8 +22,3 @@ val sub_profiles : int list -> int array -> int array list
 (** [sub_profiles members counts] enumerates assignments to just the listed
     coordinates: each result r has length [List.length members], with
     r.(j) < counts.(List.nth members j). *)
-
-val functions : int list -> int list -> (int -> int) list
-(** [functions dom cod] enumerates all functions from the finite domain
-    (given as a list of keys) to the finite codomain, represented as OCaml
-    functions raising [Not_found] off-domain. *)

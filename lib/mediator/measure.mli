@@ -36,11 +36,6 @@ val empirical_action_dist :
     non-movers with the spec's default move (or, failing that, action 0 —
     which never triggers for honest runs under fair schedulers). *)
 
-val actions_of_outcome :
-  spec:Spec.t -> types:int array -> int Sim.Types.outcome -> int array
-(** Project a run onto an action profile for the underlying game, applying
-    the default-move map for players that never moved. *)
-
 val expected_utilities :
   spec:Spec.t ->
   rounds:int ->

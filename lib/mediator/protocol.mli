@@ -33,23 +33,6 @@ val honest_player :
 (** The canonical σ_i. [will] is the action left with the executor (AH
     approach); pass the punishment action for Theorem 4.4-style play. *)
 
-val mediator_process :
-  ?strong:bool ->
-  spec:Spec.t ->
-  n:int ->
-  rounds:int ->
-  wait_for:int ->
-  rng:Random.State.t ->
-  unit ->
-  (msg, int) Sim.Types.process
-(** The mediator σd (runs as pid [n]). With [strong:true] the mediator
-    realises the strong-implementation mechanism of Lemma 6.8: its
-    randomness is a deterministic function of the order in which the R·n
-    player messages arrived, so the scheduler's delivery choices select
-    the outcome class — exactly the surjection from message orders onto
-    scheduler equivalence classes the lemma constructs (with enough
-    rounds, see {!Lemma68.min_padding_rounds}). *)
-
 val game_processes :
   ?strong:bool ->
   spec:Spec.t ->
@@ -60,5 +43,12 @@ val game_processes :
   ?wills:(int -> int option) ->
   unit ->
   (msg, int) Sim.Types.process array
-(** n player processes plus the mediator at index n. [wills] defaults to
-    the spec's punishment profile if present, otherwise no will. *)
+(** n player processes plus the mediator σd at index n. With
+    [strong:true] the mediator realises the strong-implementation
+    mechanism of Lemma 6.8: its randomness is a deterministic function of
+    the order in which the R·n player messages arrived, so the
+    scheduler's delivery choices select the outcome class — exactly the
+    surjection from message orders onto scheduler equivalence classes the
+    lemma constructs (with enough rounds, see
+    {!Lemma68.min_padding_rounds}). [wills] defaults to the spec's
+    punishment profile if present, otherwise no will. *)

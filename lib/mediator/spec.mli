@@ -68,9 +68,6 @@ val chicken_with_bystanders : n:int -> t
     trit u and recommends privately: u=0 -> (Dare, Chicken),
     u=1 -> (Chicken, Dare), u=2 -> (Chicken, Chicken). *)
 
-val chicken_bystanders_game : n:int -> Games.Game.t
-(** The underlying game of {!chicken_with_bystanders}. *)
-
 val pitfall_minimal : n:int -> k:int -> t
 (** Section 6.4 game with the {e minimally informative} mediator: output
     only the coordination bit b. Punishment = everyone plays bot. *)

@@ -66,25 +66,6 @@ let summary t =
     steps = dist_of t.steps;
   }
 
-let dist_to_json d =
-  Json.Obj
-    [
-      ("mean", Json.Float d.mean);
-      ("p50", Json.Int d.p50);
-      ("p90", Json.Int d.p90);
-      ("p99", Json.Int d.p99);
-      ("max", Json.Int d.max);
-    ]
-
-let summary_to_json s =
-  Json.Obj
-    [
-      ("runs", Json.Int s.runs);
-      ("sent", dist_to_json s.sent);
-      ("delivered", dist_to_json s.delivered);
-      ("steps", dist_to_json s.steps);
-    ]
-
 let summary_repr s =
   Printf.sprintf
     "runs=%d sent[mean=%.2f p50=%d p90=%d p99=%d max=%d] steps[p50=%d p90=%d max=%d]" s.runs

@@ -49,14 +49,12 @@ type dist = { mean : float; p50 : int; p90 : int; p99 : int; max : int }
 type summary = { runs : int; sent : dist; delivered : dist; steps : dist }
 
 val summary : t -> summary
-val summary_to_json : summary -> Json.t
 val summary_repr : summary -> string
 (** Deterministic one-liner (participates in the [-j] differential). *)
 
 val to_json : t -> Json.t
 (** The complete aggregate state (totals and the three histograms, via
-    {!Hist.to_json}) for engine checkpoints — not the human summary;
-    see {!summary_to_json} for that. *)
+    {!Hist.to_json}) for engine checkpoints — not the human summary. *)
 
 val of_json : Json.t -> t option
 (** Inverse of {!to_json}; [None] on malformed input. A restored

@@ -28,8 +28,6 @@ val now : unit -> float
 type counts = { p2p : int; p2m : int; m2p : int; self : int }
 
 val counts_zero : counts
-val counts_total : counts -> int
-val counts_add : counts -> counts -> counts
 
 type t = {
   runs : int;  (** merged run count; 1 for a single run *)

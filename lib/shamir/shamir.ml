@@ -4,22 +4,12 @@ module Linalg = Field.Linalg
 
 type share = { index : int; value : Gf.t }
 
-let pp_share fmt s = Format.fprintf fmt "(%d ↦ %a)" s.index Gf.pp s.value
-let share_equal a b = a.index = b.index && Gf.equal a.value b.value
-
-type poly_sharing = { poly : Poly.t; shares : share array }
-
-let shares_of_poly ~n poly =
+let share rng ~n ~t ~secret =
+  if t < 0 || t >= n then invalid_arg "Shamir.share: need 0 <= t < n";
+  let poly = Poly.random_with_secret rng ~degree:t ~secret in
   Array.init n (fun i ->
       let index = i + 1 in
       { index; value = Poly.eval poly (Gf.of_int index) })
-
-let share_poly rng ~n ~t ~secret =
-  if t < 0 || t >= n then invalid_arg "Shamir.share: need 0 <= t < n";
-  let poly = Poly.random_with_secret rng ~degree:t ~secret in
-  { poly; shares = shares_of_poly ~n poly }
-
-let share rng ~n ~t ~secret = (share_poly rng ~n ~t ~secret).shares
 
 (* Share indices are 1-based evaluation points; anything outside
    [1, max_index] is rejected (previously an out-of-range index could
@@ -383,10 +373,6 @@ let online_decode_arrays ~t ~max_faults (idx : int array) (ys : Gf.t array) =
       | None -> try_e (e + 1)
   in
   try_e 0
-
-let online_decode ~t ~max_faults points =
-  let pts = Array.of_list points in
-  online_decode_arrays ~t ~max_faults (Array.map fst pts) (Array.map snd pts)
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference implementations (the pre-optimisation code paths),

@@ -11,21 +11,9 @@
 type share = { index : int; value : Field.Gf.t }
 (** The share of player [index] (1-based evaluation point). *)
 
-val pp_share : Format.formatter -> share -> unit
-val share_equal : share -> share -> bool
-
-type poly_sharing = { poly : Field.Poly.t; shares : share array }
-(** A full sharing: the dealer's polynomial plus every player's share. *)
-
 val share : Random.State.t -> n:int -> t:int -> secret:Field.Gf.t -> share array
 (** [share rng ~n ~t ~secret] produces shares for players 1..n with
     threshold degree [t]. @raise Invalid_argument unless 0 <= t < n. *)
-
-val share_poly : Random.State.t -> n:int -> t:int -> secret:Field.Gf.t -> poly_sharing
-(** Like {!share} but also returns the underlying polynomial. *)
-
-val shares_of_poly : n:int -> Field.Poly.t -> share array
-(** Evaluate an existing polynomial at points 1..n. *)
 
 val reconstruct : t:int -> share list -> Field.Gf.t option
 (** Plain Lagrange reconstruction from at least t+1 shares, assuming all of
@@ -79,18 +67,15 @@ val lagrange_at_zero : int list -> (int * Field.Gf.t) list
     for any polynomial of degree < |indices|. Used by the GRR degree
     reduction in the MPC engine. @raise Invalid_argument on duplicates. *)
 
-val online_decode :
-  t:int -> max_faults:int -> (int * Field.Gf.t) list -> Field.Gf.t option
-(** Online error correction (BCG): given the shares received {e so far}
-    (as (1-based index, value) pairs), return the secret as soon as it is
-    certain — i.e. some degree-t polynomial agrees with all but e of the
-    points for an e with [received >= 2*t + 1 + e] (so at least t+1 honest
-    points pin the polynomial, assuming at most [max_faults] <= t corrupt
-    shares overall). Returns [None] if no certification is possible yet. *)
-
 val online_decode_arrays :
   t:int -> max_faults:int -> int array -> Field.Gf.t array -> Field.Gf.t option
-(** {!online_decode} over parallel (1-based index, value) arrays.
+(** Online error correction (BCG): given the shares received {e so far}
+    (as parallel 1-based index and value arrays), return the secret as
+    soon as it is certain — i.e. some degree-t polynomial agrees with all
+    but e of the points for an e with [received >= 2*t + 1 + e] (so at
+    least t+1 honest points pin the polynomial, assuming at most
+    [max_faults] <= t corrupt shares overall). Returns [None] if no
+    certification is possible yet.
     @raise Invalid_argument on length mismatch. *)
 
 (** {1 Cache control}

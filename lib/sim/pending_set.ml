@@ -48,7 +48,6 @@ let remove s node =
   end
 
 let view_of node = node.view
-let is_member node = node.live
 
 let oldest s =
   match s.first with

@@ -47,4 +47,3 @@ val remove : t -> node -> unit
 (** Idempotent. *)
 
 val view_of : node -> Types.pending_view
-val is_member : node -> bool

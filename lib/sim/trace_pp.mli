@@ -3,8 +3,6 @@
     protocols and for the examples — the trace is exactly the message
     pattern of Lemma 6.8, so this is also "what the environment saw". *)
 
-val pp_event : Format.formatter -> 'a Types.trace_event -> unit
-
 val chart : ?limit:int -> 'a Types.outcome -> string
 (** A line-per-event sequence chart: sends as [i --seq--> j], deliveries
     as [i ==seq==> j], drops as [i xxseqxx| j  DROPPED] (visually

@@ -1,9 +1,7 @@
-(* Tests for asynchronous binary agreement and agreement on a common
-   subset, run inside the simulator. *)
+(* Tests for asynchronous binary agreement, run inside the simulator. *)
 
 open Sim.Types
 module Aba = Agreement.Aba
-module Acs = Agreement.Acs
 module Coin = Agreement.Coin
 
 let to_effects sends = List.map (fun (dst, m) -> Send (dst, m)) sends
@@ -187,69 +185,6 @@ let test_aba_far_round_is_sparse () =
   Alcotest.(check bool) (Printf.sprintf "round 10^6 costs %d words" grown) true (grown < 64);
   Alcotest.(check int) "current round unchanged" 0 (Aba.round s)
 
-(* --- ACS --- *)
-
-let acs_honest ~n ~f ~me ~coin ~value ~outputs =
-  let session = Acs.create ~n ~f ~me ~coin in
-  let emit (r : _ Acs.reaction) =
-    (match r.Acs.output with Some core -> outputs.(me) <- Some core | None -> ());
-    to_effects r.Acs.sends
-  in
-  {
-    start = (fun () -> emit (Acs.input session value));
-    receive = (fun ~src m -> emit (Acs.handle session ~src m));
-    will = (fun () -> None);
-  }
-
-let acs_coin seed ~instance ~round = Coin.common ~seed ~instance ~round
-
-let test_acs_all_honest () =
-  let n = 4 and f = 1 in
-  let outputs = Array.make n None in
-  let procs =
-    Array.init n (fun me ->
-        acs_honest ~n ~f ~me ~coin:(acs_coin 21) ~value:(100 + me) ~outputs)
-  in
-  let _o = run procs in
-  (* all players produce the same core set of size >= n-f with correct values *)
-  let cores = Array.map (function Some c -> c | None -> Alcotest.fail "no output") outputs in
-  let size c = Array.fold_left (fun acc v -> if Option.is_some v then acc + 1 else acc) 0 c in
-  Alcotest.(check bool) "core >= n-f" true (size cores.(0) >= n - f);
-  Array.iter
-    (fun c ->
-      Alcotest.(check bool) "identical cores" true (c = cores.(0)))
-    cores;
-  Array.iteri
-    (fun j v ->
-      match v with
-      | Some x -> Alcotest.(check int) "values correct" (100 + j) x
-      | None -> ())
-    cores.(0)
-
-let test_acs_with_crash () =
-  let n = 4 and f = 1 in
-  List.iter
-    (fun seed ->
-      let outputs = Array.make n None in
-      let procs =
-        Array.init n (fun me ->
-            acs_honest ~n ~f ~me ~coin:(acs_coin seed) ~value:(200 + me) ~outputs)
-      in
-      procs.(3) <- silent;
-      let _o = run ~sched:(Sim.Scheduler.random_seeded seed) procs in
-      let size c = Array.fold_left (fun acc v -> if Option.is_some v then acc + 1 else acc) 0 c in
-      List.iter
-        (fun i ->
-          match outputs.(i) with
-          | Some c ->
-              Alcotest.(check bool) "core >= n-f" true (size c >= n - f);
-              (match outputs.(0) with
-              | Some c0 -> Alcotest.(check bool) "identical" true (c = c0)
-              | None -> ())
-          | None -> Alcotest.failf "player %d no ACS output (seed %d)" i seed)
-        [ 0; 1; 2 ])
-    (List.init 10 (fun i -> i))
-
 let () =
   Alcotest.run "agreement"
     [
@@ -265,10 +200,5 @@ let () =
           Alcotest.test_case "self AUX replaces" `Quick test_aba_self_aux_replaces;
           Alcotest.test_case "out-of-range src ignored" `Quick test_aba_ignores_out_of_range_src;
           Alcotest.test_case "far round is sparse" `Quick test_aba_far_round_is_sparse;
-        ] );
-      ( "acs",
-        [
-          Alcotest.test_case "all honest" `Quick test_acs_all_honest;
-          Alcotest.test_case "with crash" `Quick test_acs_with_crash;
         ] );
     ]

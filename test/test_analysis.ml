@@ -31,9 +31,28 @@ let explore_confluent make =
   Alcotest.(check bool) "exploration exhaustive" true r.Sim.Explore.exhaustive;
   Sim.Explore.all_outcomes_agree (fun o -> o.moves) r
 
-let check_agreement name make =
+(* The report's numbers, pinned per fixture: runs, candidates, replays,
+   races, outcome races. No fixture skips a candidate or diverges on a
+   replay. *)
+let check_report name (runs, candidates, replays, races, outcome_races) (r : Race.report) =
+  let outcome = List.filter (fun x -> x.Race.verdict = Race.Outcome_race) r.Race.races in
+  Alcotest.(check (list int))
+    (name ^ ": runs, candidates, replays, races, outcome races, skipped, diverged")
+    [ runs; candidates; replays; races; outcome_races; 0; 0 ]
+    [
+      r.Race.runs;
+      r.Race.candidates;
+      r.Race.replays;
+      List.length r.Race.races;
+      List.length outcome;
+      r.Race.candidates_skipped;
+      r.Race.diverged_replays;
+    ]
+
+let check_agreement name pins make =
   let ground = explore_confluent make in
   let report = Race.analyze ~make () in
+  check_report name pins report;
   Alcotest.(check bool)
     (name ^ ": detector verdict matches Explore")
     ground
@@ -41,12 +60,12 @@ let check_agreement name make =
 
 let test_race_ping_pong () =
   Alcotest.(check bool) "ping-pong is confluent" true (explore_confluent Fx.ping_pong);
-  check_agreement "ping-pong" Fx.ping_pong
+  check_agreement "ping-pong" (6, 0, 0, 0, 0) Fx.ping_pong
 
 let test_race_threshold_sum () =
   Alcotest.(check bool) "threshold-sum is outcome-confluent" true
     (explore_confluent Fx.threshold_sum);
-  check_agreement "threshold-sum" Fx.threshold_sum;
+  check_agreement "threshold-sum" (6, 2, 2, 2, 0) Fx.threshold_sum;
   (* the benign quorum race is visible at effect level *)
   let r = Race.analyze ~make:Fx.threshold_sum () in
   Alcotest.(check bool) "effect race surfaced" true
@@ -56,14 +75,14 @@ let test_race_threshold_sum () =
 
 let test_race_order_bug () =
   Alcotest.(check bool) "order-bug is NOT confluent" false (explore_confluent Fx.order_bug);
-  check_agreement "order-bug" Fx.order_bug;
+  check_agreement "order-bug" (6, 2, 2, 2, 2) Fx.order_bug;
   let r = Race.analyze ~make:Fx.order_bug () in
   Alcotest.(check bool) "outcome race reported" true (Race.has_outcome_race r);
   Alcotest.(check bool) "outcome races are errors" true (F.errors (Race.findings r) <> [])
 
 let test_race_byzantine_echo () =
   Alcotest.(check bool) "byzantine-echo is confluent" true (explore_confluent Fx.byzantine_echo);
-  check_agreement "byzantine-echo" Fx.byzantine_echo
+  check_agreement "byzantine-echo" (6, 4, 4, 0, 0) Fx.byzantine_echo
 
 let test_race_mediator_game () =
   (* The mediated play itself (players + mediator process): outcome must
@@ -74,6 +93,7 @@ let test_race_mediator_game () =
       ~rng:(Random.State.make [| 42 |]) ()
   in
   let r = Race.analyze ~make () in
+  check_report "mediator game" (6, 6, 6, 4, 0) r;
   Alcotest.(check bool) "mediator game has no outcome race" false (Race.has_outcome_race r);
   Alcotest.(check bool) "detector actually replayed swaps" true (r.Race.replays > 0)
 

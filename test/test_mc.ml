@@ -1,6 +1,6 @@
 (* Tests for the model checker (Analysis.Mc): DPOR cross-validated
-   against the naive Sim.Explore backend, against the race detector's
-   happens-before relation and against sampled Runner runs; the
+   against the naive Sim.Explore backend and against sampled Runner runs,
+   its happens-before races against Sim.Explore's histories; the
    reduction-ratio and parallel-determinism guarantees from the
    acceptance criteria; relaxed stop-cut coverage; the counterexample
    minimizer; and the Experiments.Check fixture catalog behind
@@ -8,7 +8,6 @@
 
 module Mc = Analysis.Mc
 module Fx = Analysis.Fixtures
-module Race = Analysis.Race
 module Check = Experiments.Check
 
 let class_key (c : int Mc.outcome_class) =
@@ -156,42 +155,98 @@ let test_quorum_violation_minimized () =
         (Fx.quorum_validity.Mc.p_check ~stopped:ce.Mc.ce_stopped ~willed o <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Independence cross-validation: the checker's happens-before races must
-   agree exactly with the race detector's vector-clock candidates. *)
+(* Races against ground truth. Two deliveries a, b to one process in a
+   history h are a race of the checker's happens-before relation (DPOR's
+   backtrack points, the race detector's swap candidates) exactly when
+   some explored history h' delivers b without a before it, every process
+   having received before b in h' a prefix of what it received in h: h'
+   reaches b by the same local steps as h, skipping a. Histories count
+   only when every process starts before the first delivery, as DPOR and
+   the race detector's recorder schedule them. *)
 
-let test_races_cross_validation () =
+(* p0 sends 1 and 2 to p2 at start; p2 answers the 1 with a message to
+   p1, which p1 relays to p2. p2 always receives the relay after the 1 (no
+   race), while the 2 races both. *)
+let relay () =
+  let open Sim.Types in
+  let idle = { start = (fun () -> []); receive = (fun ~src:_ _ -> []); will = (fun () -> None) } in
+  [|
+    { idle with start = (fun () -> [ Send (2, 1); Send (2, 2) ]) };
+    { idle with receive = (fun ~src:_ _ -> [ Send (2, 3) ]) };
+    { idle with receive = (fun ~src m -> if src = 0 && m = 1 then [ Send (1, 0) ] else []) };
+  |]
+
+let test_races_exact () =
+  let checked = ref 0 in
   List.iter
     (fun (name, make) ->
-      let r = Sim.Explore.explore ~make ~max_histories:200 () in
-      List.iter
-        (fun o ->
-          let mc_races =
-            List.map
-              (fun (dst, a, b) ->
-                (dst, (a.Mc.src, a.Mc.dst, a.Mc.seq), (b.Mc.src, b.Mc.dst, b.Mc.seq)))
-              (Mc.races_of_outcome o)
+      let r = Sim.Explore.explore ~make () in
+      Alcotest.(check bool) (name ^ ": exploration exhaustive") true r.Sim.Explore.exhaustive;
+      let rec starts_first = function
+        | [] -> true
+        | Sim.Types.Delivered _ :: rest ->
+            List.for_all (function Sim.Types.Started _ -> false | _ -> true) rest
+        | _ :: rest -> starts_first rest
+      in
+      let outcomes =
+        List.filter (fun o -> starts_first o.Sim.Types.trace) r.Sim.Explore.outcomes
+      in
+      let deliveries (o : int Sim.Types.outcome) =
+        List.filter_map
+          (function
+            | Sim.Types.Delivered { src; dst; seq } when src <> Sim.Types.env_pid ->
+                Some { Mc.src; dst; seq }
+            | _ -> None)
+          o.Sim.Types.trace
+      in
+      let histories = List.map deliveries outcomes in
+      let at q h = List.filter (fun (e : Mc.entry) -> e.Mc.dst = q) h in
+      let rec is_prefix p l =
+        match (p, l) with
+        | [], _ -> true
+        | x :: p', y :: l' -> x = y && is_prefix p' l'
+        | _ :: _, [] -> false
+      in
+      let rec before b acc = function
+        | [] -> None
+        | e :: rest -> if e = b then Some (List.rev acc) else before b (e :: acc) rest
+      in
+      let swappable h a b h' =
+        match before b [] h' with
+        | None -> false
+        | Some pre ->
+            (not (List.mem a pre))
+            && List.for_all (fun (e : Mc.entry) -> is_prefix (at e.Mc.dst pre) (at e.Mc.dst h)) pre
+      in
+      List.iter2
+        (fun o h ->
+          let races = Mc.races_of_outcome o in
+          let rec pairs = function
+            | [] -> ()
+            | (a : Mc.entry) :: rest ->
+                List.iter
+                  (fun (b : Mc.entry) ->
+                    if b.Mc.dst = a.Mc.dst then begin
+                      incr checked;
+                      Alcotest.(check bool)
+                        (Format.asprintf "%s: %a then %a is a race" name Mc.pp_entry a
+                           Mc.pp_entry b)
+                        (List.exists (swappable h a b) histories)
+                        (List.mem (a.Mc.dst, a, b) races)
+                    end)
+                  rest;
+                pairs rest
           in
-          let vc_races =
-            List.map
-              (fun (c : Race.candidate) ->
-                ( c.Race.c_dst,
-                  (c.Race.c_first.Race.e_src, c.Race.c_first.Race.e_dst,
-                   c.Race.c_first.Race.e_seq),
-                  (c.Race.c_second.Race.e_src, c.Race.c_second.Race.e_dst,
-                   c.Race.c_second.Race.e_seq) ))
-              (Race.candidates_of_outcome o)
-          in
-          Alcotest.(check bool)
-            (name ^ ": hb races = vector-clock candidates")
-            true
-            (List.sort compare mc_races = List.sort compare vc_races))
-        r.Sim.Explore.outcomes)
+          pairs h)
+        outcomes histories)
     [
       ("ping_pong", Fx.ping_pong);
       ("threshold_sum", Fx.threshold_sum);
       ("order_bug", Fx.order_bug);
       ("byzantine_echo", Fx.byzantine_echo);
-    ]
+      ("relay", relay);
+    ];
+  Alcotest.(check bool) "some pairs checked" true (!checked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Explore satellites: truncation accounting and three-valued agreement. *)
@@ -426,8 +481,7 @@ let () =
         ] );
       ( "cross-validation",
         [
-          Alcotest.test_case "hb races vs vector clocks" `Quick
-            test_races_cross_validation;
+          Alcotest.test_case "hb races are exactly the swappable pairs" `Quick test_races_exact;
         ]
         @ qsuite [ qcheck_differential; qcheck_sampled_runs ] );
       ( "substrate",
