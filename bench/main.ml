@@ -227,10 +227,10 @@ let wire_measure () =
   let o =
     Sim.Runner.run_journaled
       ~emit:(fun e -> entries := e :: !entries)
-      (Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs)
+      (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.random_seeded seed) procs)
   in
   let entries = Array.of_list (List.rev !entries) in
-  let events = o.Sim.Types.trace in
+  let events = Sim.Runner.recorded_trace ~who:"wire_measure" o in
   let per total count = float_of_int total /. float_of_int (max 1 count) in
   [
     ( "bytes_per_event",

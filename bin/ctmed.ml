@@ -95,7 +95,8 @@ let journal_config ~plan ~seed ~faults ~fuel =
     Cheaptalk.Compile.processes plan ~types:(Array.make n 0) ~coin_seed:(seed * 7919) ~seed
   in
   let fplan = Option.map (Faults.Plan.make ~seed) faults in
-  Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) ?faults:fplan ?fuel procs
+  Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.random_seeded seed) ?faults:fplan
+    ?fuel procs
 
 let journal_meta ~spec_name ~theorem ~k ~t ~seed ~faults ~fuel =
   Obs.Json.Obj
@@ -377,7 +378,8 @@ let trace_cmd =
         in
         let o =
           Sim.Runner.run
-            (Sim.Runner.config ~mediator:n ~scheduler:(Sim.Scheduler.random_seeded seed) procs)
+            (Sim.Runner.config ~record:true ~mediator:n
+               ~scheduler:(Sim.Scheduler.random_seeded seed) procs)
         in
         print_string (Sim.Trace_pp.chart ~limit o);
         Format.printf "%a@." Sim.Trace_pp.pp_stats (Sim.Trace_pp.stats o)
@@ -522,7 +524,8 @@ let lint_cmd =
           in
           let o =
             Sim.Runner.run
-              (Sim.Runner.config ~mediator:n ~scheduler:(Sim.Scheduler.random_seeded 1) procs)
+              (Sim.Runner.config ~record:true ~mediator:n
+                 ~scheduler:(Sim.Scheduler.random_seeded 1) procs)
           in
           Analysis.Effect_lint.check_wills t procs;
           List.map
@@ -538,7 +541,8 @@ let lint_cmd =
           (Cheaptalk.Compile.processes plan ~types:(Array.make 5 0) ~coin_seed:7 ~seed:1)
       in
       let o =
-        Sim.Runner.run (Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded 1) procs)
+        Sim.Runner.run
+          (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.random_seeded 1) procs)
       in
       Analysis.Effect_lint.check_wills t procs;
       List.map
@@ -1030,9 +1034,9 @@ let replay_cmd =
                    original run recorded *)
                 if (not recovered) && at = None then begin
                   let trace_ok =
-                    match Store.Reader.events r with
-                    | [] -> true (* run was killed before the trace was appended *)
-                    | stored -> stored = o.Sim.Types.trace
+                    match (Store.Reader.events r, Store.Reader.metrics r) with
+                    | [], None -> true (* run was killed before the trace was appended *)
+                    | stored, _ -> stored = o.Sim.Types.trace
                   in
                   let metrics_ok =
                     match Store.Reader.metrics r with

@@ -77,6 +77,7 @@ let check_wills t procs =
     procs
 
 let check_trace ?n (o : 'a outcome) =
+  let trace = Sim.Runner.recorded_trace ~who:"Analysis.check_run" o in
   let n = match n with Some n -> n | None -> Array.length o.moves in
   let fs = ref [] in
   let add f = fs := f :: !fs in
@@ -152,5 +153,5 @@ let check_trace ?n (o : 'a outcome) =
              affected message's own Sent/Delivered events carry the
              channel bookkeeping *)
           ())
-    o.trace;
+    trace;
   List.rev !fs

@@ -43,4 +43,6 @@ val findings : t -> Finding.t list
 
 val check_trace : ?n:int -> 'a Sim.Types.outcome -> Finding.t list
 (** Static lint of a finished run's trace. [n] defaults to the outcome's
-    process count. *)
+    process count.
+    @raise Invalid_argument on a run whose config did not record
+    ([Sim.Runner.recorded_trace]): an empty trace would lint clean. *)

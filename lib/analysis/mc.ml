@@ -210,7 +210,9 @@ let events_of_trace trace =
    second's: the order {!Race.analyze} replays in, so its
    [max_candidates] cap and its findings follow it. *)
 let races_of_outcome (o : 'a Types.outcome) =
-  let events, sp = events_of_trace o.Types.trace in
+  let events, sp =
+    events_of_trace (Runner.recorded_trace ~who:"Mc.races_of_outcome" o)
+  in
   let races, _capped = races_of ~events ~sp ~cap:max_int in
   let keyed = List.map (fun (i, j, _u) -> (events.(i).dst, i, j)) races in
   let cmp (d1, i1, j1) (d2, i2, j2) =

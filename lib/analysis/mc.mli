@@ -182,7 +182,9 @@ val races_of_outcome : 'a Sim.Types.outcome -> (int * entry * entry) list
     destination descending, then by the first delivery's position in the
     run, then by the second's. {!Race.analyze} takes its swap candidates
     from here in this order, so DPOR and the race detector share one
-    relation. *)
+    relation.
+    @raise Invalid_argument on a run whose config did not record
+    ([Sim.Runner.recorded_trace]). *)
 
 val repr : ('a -> string) -> 'a verdict -> string
 (** Canonical multi-line serialisation of a verdict — byte-identical at

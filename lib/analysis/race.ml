@@ -148,7 +148,8 @@ let default_schedulers () =
   ]
 
 let run_under ~max_steps ~make sched =
-  Runner.run (Runner.config ~max_steps ~starvation_bound:max_int ~scheduler:sched (make ()))
+  Runner.run
+    (Runner.config ~record:true ~max_steps ~starvation_bound:max_int ~scheduler:sched (make ()))
 
 let analyze ?schedulers ?(max_steps = 20_000) ?(max_candidates = 400) ~make () =
   let schedulers = match schedulers with Some s -> s | None -> default_schedulers () in

@@ -66,7 +66,8 @@ let run_with ?(check_runs = default_check_runs) ?faults ?fuel ?wall_limit p
   let fplan = Option.map (Faults.Plan.make ~seed) faults in
   let o =
     Sim.Runner.run
-      (Sim.Runner.config ~scheduler ?faults:fplan ~fuzz:fuzz_msg ?fuel ?wall_limit procs)
+      (Sim.Runner.config ~record:check_runs ~scheduler ?faults:fplan ~fuzz:fuzz_msg ?fuel
+         ?wall_limit procs)
   in
   if check_runs then lint_outcome o;
   {

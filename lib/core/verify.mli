@@ -11,7 +11,8 @@
 val default_check_runs : bool
 (** The default for every [?check_runs] parameter below: true when the
     CTMED_LINT_RUNS environment variable is set (to 1/true/yes) at
-    startup. When a run is checked it is passed through
+    startup. A checked run records its trace ([~record:check_runs];
+    unchecked runs keep none), is passed through
     {!Analysis.check_run} (the effect-discipline trace linter) and the
     first [Error]-severity finding raises [Failure] — the hook the
     experiment harness enables via `ctmed experiment --lint-runs` or

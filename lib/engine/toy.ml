@@ -30,6 +30,6 @@ let player ~n ~me ~vote:v =
 let config ?(n = 4) ~seed () =
   if n < 1 then invalid_arg (Printf.sprintf "Toy.config: n must be > 0 (got %d)" n);
   let procs = Array.init n (fun me -> player ~n ~me ~vote:(vote ~seed ~me)) in
-  Sim.Runner.config ~record:false ~scheduler:(Sim.Scheduler.random_seeded seed) procs
+  Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded seed) procs
 
 let profile o = Transport.Differential.profile ~show:string_of_int o

@@ -8,8 +8,8 @@
     comparable across runs, while the moves (and hence the profile
     distribution) still vary with the seed.
 
-    Configs are built with [~record:false] (no trace allocation — the
-    engine's steady-state mode) and the history-free
+    Configs are the default [Runner.config] (no trace: the engine's
+    steady-state mode) with the history-free
     [Scheduler.random_seeded seed], keeping every session a pure
     function of its seed. *)
 

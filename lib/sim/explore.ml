@@ -28,7 +28,7 @@ let scripted_run ~max_steps ~make prefix =
   let procs = make () in
   let o =
     Runner.run
-      (Runner.config ~max_steps ~starvation_bound:max_int ~scheduler:sched procs)
+      (Runner.config ~record:true ~max_steps ~starvation_bound:max_int ~scheduler:sched procs)
   in
   (o, List.rev !tail_counts)
 

@@ -26,10 +26,12 @@ let clear s =
 
 let append s view =
   let node = { view; prev = s.last; next = None; live = true } in
+  (* one option box serves as both links to the new tail *)
+  let link = Some node in
   (match s.last with
-  | Some tail -> tail.next <- Some node
-  | None -> s.first <- Some node);
-  s.last <- Some node;
+  | Some tail -> tail.next <- link
+  | None -> s.first <- link);
+  s.last <- link;
   s.size <- s.size + 1;
   node
 
@@ -59,14 +61,20 @@ let newest s =
   | Some node -> node.view
   | None -> invalid_arg "Pending_set.newest: empty"
 
+(* Walk from the nearer end: at most size/2 links. *)
 let nth s i =
   if i < 0 || i >= s.size then invalid_arg "Pending_set.nth: out of range";
-  let rec go node i =
+  let rec forward node i =
     match node with
     | None -> invalid_arg "Pending_set.nth: corrupt"
-    | Some node -> if i = 0 then node.view else go node.next (i - 1)
+    | Some node -> if i = 0 then node.view else forward node.next (i - 1)
   in
-  go s.first i
+  let rec backward node i =
+    match node with
+    | None -> invalid_arg "Pending_set.nth: corrupt"
+    | Some node -> if i = 0 then node.view else backward node.prev (i - 1)
+  in
+  if 2 * i < s.size then forward s.first i else backward s.last (s.size - 1 - i)
 
 let iter s f =
   let rec go = function

@@ -20,7 +20,7 @@ type ('m, 'a) config = {
 let now = Obs.Metrics.now
 
 let config ?mediator ?max_steps ?starvation_bound ?faults ?fuzz ?fuel ?wall_limit
-    ?(record = true) ~scheduler processes =
+    ?(record = false) ~scheduler processes =
   let n = Array.length processes in
   let max_steps = match max_steps with Some m -> m | None -> 200_000 in
   let starvation_bound =
@@ -67,7 +67,8 @@ type ('m, 'a) core = {
   mb : Obs.Metrics.Builder.t;
   (* [record]: keep the trace (the outcome's [trace]); [history]: keep
      the pattern list, built only for a scheduler whose [choose] reads
-     it. With both off a run keeps nothing per message. *)
+     it. Each event is built under its switch, at the cons: with both
+     off a run builds nothing per message. *)
   record : bool;
   history : bool;
   halted : bool array;
@@ -101,7 +102,7 @@ type ('m, 'a) core = {
   crash_announced : bool array;
 }
 
-let create_core ?faults ?fuzz ?(record = true) ~history ~mediator procs =
+let create_core ?faults ?fuzz ~record ~history ~mediator procs =
   let n = Array.length procs in
   let crash_specs =
     match faults with
@@ -219,9 +220,6 @@ let core_for ?slot ?faults ?fuzz ~record ~history ~mediator procs =
       slot := Some c;
       c
 
-let emit c ev = if c.record then c.trace <- ev :: c.trace
-let emit_pat c p = if c.history then c.pattern <- p :: c.pattern
-
 let item_get c id = if id >= 0 && id < Array.length c.items then c.items.(id) else None
 let item_mem c id = Option.is_some (item_get c id)
 let item_clear c id = c.items.(id) <- None
@@ -286,17 +284,19 @@ let enqueue ?(dup = false) c ~src ~dst ~payload ~batch () =
       Obs.Metrics.Builder.sent c.mb ~src ~dst;
       if dup then begin
         Obs.Metrics.Builder.injected_dup c.mb;
-        emit c (Fault { kind = Duplicate; src; dst; seq = s });
-        emit_pat c (Scheduler.P_fault { kind = Duplicate; src; dst; seq = s })
+        if c.record then c.trace <- Fault { kind = Duplicate; src; dst; seq = s } :: c.trace;
+        if c.history then
+          c.pattern <- Scheduler.P_fault { kind = Duplicate; src; dst; seq = s } :: c.pattern
       end
       else begin
-        emit c (Sent { src; dst; seq = s });
-        emit_pat c (Scheduler.P_sent { src; dst; seq = s });
+        if c.record then c.trace <- Sent { src; dst; seq = s } :: c.trace;
+        if c.history then c.pattern <- Scheduler.P_sent { src; dst; seq = s } :: c.pattern;
         match fault with
         | Some Delay ->
             Obs.Metrics.Builder.injected_delay c.mb;
-            emit c (Fault { kind = Delay; src; dst; seq = s });
-            emit_pat c (Scheduler.P_fault { kind = Delay; src; dst; seq = s })
+            if c.record then c.trace <- Fault { kind = Delay; src; dst; seq = s } :: c.trace;
+            if c.history then
+              c.pattern <- Scheduler.P_fault { kind = Delay; src; dst; seq = s } :: c.pattern
         | _ -> ()
       end
 
@@ -311,22 +311,22 @@ let rec apply_effects c pid batch effects =
       | Some _ -> () (* at most one action in the underlying game *)
       | None ->
           c.moves.(pid) <- Some a;
-          emit c (Moved { who = pid; action = a });
-          emit_pat c (Scheduler.P_moved pid));
+          if c.record then c.trace <- Moved { who = pid; action = a } :: c.trace;
+          if c.history then c.pattern <- Scheduler.P_moved pid :: c.pattern);
       apply_effects c pid batch rest
   | Halt :: rest ->
       if not c.halted.(pid) then begin
         c.halted.(pid) <- true;
-        emit c (Halted pid);
-        emit_pat c (Scheduler.P_halted pid)
+        if c.record then c.trace <- Halted pid :: c.trace;
+        if c.history then c.pattern <- Scheduler.P_halted pid :: c.pattern
       end;
       apply_effects c pid batch rest
 
 and activate_start c pid =
   if (not c.started.(pid)) && not c.halted.(pid) then begin
     c.started.(pid) <- true;
-    emit c (Started pid);
-    emit_pat c (Scheduler.P_started pid);
+    if c.record then c.trace <- Started pid :: c.trace;
+    if c.history then c.pattern <- Scheduler.P_started pid :: c.pattern;
     let batch = c.next_batch in
     c.next_batch <- batch + 1;
     apply_effects c pid batch (c.procs.(pid).start ())
@@ -357,13 +357,16 @@ let deliver c id =
                    fuzz hook for this message type the fault is inert
                    and deliberately not counted *)
                 Obs.Metrics.Builder.injected_corrupt c.mb;
-                emit c (Fault { kind = Corrupt; src; dst; seq = s });
-                emit_pat c (Scheduler.P_fault { kind = Corrupt; src; dst; seq = s });
+                if c.record then
+                  c.trace <- Fault { kind = Corrupt; src; dst; seq = s } :: c.trace;
+                if c.history then
+                  c.pattern <- Scheduler.P_fault { kind = Corrupt; src; dst; seq = s } :: c.pattern;
                 fuzz ~src ~dst ~seq:s m
             | _ -> m
           in
-          emit c (Delivered { src; dst; seq = s });
-          emit_pat c (Scheduler.P_delivered { src; dst; seq = s });
+          if c.record then c.trace <- Delivered { src; dst; seq = s } :: c.trace;
+          if c.history then
+            c.pattern <- Scheduler.P_delivered { src; dst; seq = s } :: c.pattern;
           if batch >= 0 then batch_mark c batch;
           (match item.fault with
           | Some Duplicate -> enqueue ~dup:true c ~src ~dst ~payload:item.payload ~batch ()
@@ -412,8 +415,9 @@ let drop_all_remaining c =
           | None -> ()
           | Some _ ->
               Obs.Metrics.Builder.dropped c.mb ~src:v.src ~dst:v.dst;
-              emit c (Dropped { src = v.src; dst = v.dst; seq = v.seq });
-              emit_pat c (Scheduler.P_dropped { src = v.src; dst = v.dst; seq = v.seq })));
+              let { src; dst; seq; _ } = v in
+              if c.record then c.trace <- Dropped { src; dst; seq } :: c.trace;
+              if c.history then c.pattern <- Scheduler.P_dropped { src; dst; seq } :: c.pattern));
       drop ()
     end
   in
@@ -438,9 +442,13 @@ let announce_crashes c =
       | Some (start, len) when (not c.crash_announced.(pid)) && c.decisions >= start ->
           c.crash_announced.(pid) <- true;
           Obs.Metrics.Builder.injected_crash c.mb;
-          emit c (Fault { kind = Crash_restart; src = env_pid; dst = pid; seq = len });
-          emit_pat c
-            (Scheduler.P_fault { kind = Crash_restart; src = env_pid; dst = pid; seq = len })
+          if c.record then
+            c.trace <-
+              Fault { kind = Crash_restart; src = env_pid; dst = pid; seq = len } :: c.trace;
+          if c.history then
+            c.pattern <-
+              Scheduler.P_fault { kind = Crash_restart; src = env_pid; dst = pid; seq = len }
+              :: c.pattern
       | _ -> ())
     c.crash_specs
 
@@ -732,6 +740,16 @@ let moves_with_wills processes (o : 'a outcome) =
 let moves_with_defaults ~default (o : 'a outcome) =
   Array.mapi (fun pid mv -> match mv with Some a -> a | None -> default pid) o.moves
 
+(* No message exists before some process starts, so a run's first step
+   delivers a start signal to a process not yet started, which emits
+   [Started]: a run that took a step and kept no event did not record. *)
+let recorded_trace ~who (o : 'a outcome) =
+  match o.trace with
+  | [] when o.steps > 0 ->
+      invalid_arg
+        (who ^ ": the run kept no trace; build its Runner.config with ~record:true")
+  | trace -> trace
+
 let message_pattern (o : 'a outcome) =
   List.filter_map
     (function
@@ -742,7 +760,7 @@ let message_pattern (o : 'a outcome) =
       | Halted p -> Some (Scheduler.P_halted p)
       | Started p -> Some (Scheduler.P_started p)
       | Fault { kind; src; dst; seq } -> Some (Scheduler.P_fault { kind; src; dst; seq }))
-    o.trace
+    (recorded_trace ~who:"Runner.message_pattern" o)
 
 (* ------------------------------------------------------------------ *)
 (* Step: the model checker's branching hook. Same core, no scheduler,
@@ -753,7 +771,7 @@ module Step = struct
   type ('m, 'a) t = ('m, 'a) core
 
   let create ?mediator procs =
-    let c = create_core ~history:false ~mediator procs in
+    let c = create_core ~record:true ~history:false ~mediator procs in
     enqueue_starts c;
     c
 

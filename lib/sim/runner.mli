@@ -2,7 +2,8 @@
 
     Runs an array of processes (players 0..n-1, plus optionally a mediator
     as the last process) against a scheduler, producing an {!Types.outcome}
-    that records moves, termination class, message counts and the full
+    that records moves, termination class, message counts, the run's
+    metrics and, when its config asks for it ([~record:true]), the full
     pattern trace.
 
     The driver enforces the paper's two environment constraints for
@@ -52,14 +53,23 @@ type ('m, 'a) config = {
           Environmental by nature — never enable it in a run whose trace
           participates in a byte-identity diff *)
   record : bool;
-      (** keep the trace (default [true]). With [false] the outcome's
-          [trace] is [[]], so its consumers (the run linter, [Trace_pp],
-          the trace digest in [Differential.outcome_repr]) see nothing;
-          [Engine.Toy] runs so. [record] governs only the trace: the
+      (** keep the trace (default [false]). Unrecorded, the outcome's
+          [trace] is [[]] and no event is built. Sessions that nothing
+          reads the trace of run so: [ctmed serve], [Engine.Toy],
+          Verify's trials (unless linted) and the experiments. Each
+          reader opts in with [~record:true]: [Explore]'s runs,
+          [Analysis.Race], Verify under [check_runs], [ctmed run
+          --journal] and [ctmed replay], [ctmed trace] and [ctmed lint].
+          [Step] always records. The readers — {!message_pattern},
+          [Trace_pp.chart]/[stats], [Analysis.check_run],
+          [Analysis.Mc.races_of_outcome] and
+          [Differential.outcome_repr] — raise [Invalid_argument] on an
+          unrecorded run rather than report on nothing
+          ({!recorded_trace}). [record] governs only the trace: the
           pattern history passed to the scheduler's [choose] is built
           exactly when the scheduler declares [Scheduler.t.history],
           whatever [record] says. With [record:false] and a scheduler
-          that reads no history, a run keeps nothing per message. *)
+          that reads no history, a run builds nothing per message. *)
 }
 
 val config :
@@ -205,8 +215,14 @@ val moves_with_defaults : default:(int -> 'a) -> 'a Types.outcome -> 'a array
 (** The default-move reading: players that never moved get
     [default pid], which is part of the game description. *)
 
+val recorded_trace : who:string -> 'a Types.outcome -> 'a Types.trace_event list
+(** The outcome's trace, for a reader that needs one.
+    @raise Invalid_argument naming [who] and [~record:true] when the run
+    took a step but kept no event: its config did not record. *)
+
 val message_pattern : 'a Types.outcome -> Scheduler.pattern_event list
-(** Chronological (s/d,i,j,k) pattern of the run, as in Lemma 6.8. *)
+(** Chronological (s/d,i,j,k) pattern of the run, as in Lemma 6.8.
+    @raise Invalid_argument on an unrecorded run ({!recorded_trace}). *)
 
 (** The model checker's step-at-a-time hook: the same driver state
     machine as {!run}, but the caller is the environment — it picks every

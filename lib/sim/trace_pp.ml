@@ -17,13 +17,14 @@ let pp_event fmt = function
       Format.fprintf fmt "%d !!CRASH!!  FAULT silent for %d decisions" dst seq
 
 let chart ?(limit = 200) (o : 'a outcome) =
+  let trace = Runner.recorded_trace ~who:"Trace_pp.chart" o in
   let buf = Buffer.create 1024 in
-  let total = List.length o.trace in
+  let total = List.length trace in
   List.iteri
     (fun i ev ->
       if i < limit then
         Buffer.add_string buf (Format.asprintf "%4d  %a\n" i pp_event ev))
-    o.trace;
+    trace;
   if total > limit then
     Buffer.add_string buf (Printf.sprintf "      ... %d more events\n" (total - limit));
   Buffer.add_string buf
@@ -38,6 +39,7 @@ type stats = {
 }
 
 let stats (o : 'a outcome) =
+  let trace = Runner.recorded_trace ~who:"Trace_pp.stats" o in
   let pairs = Hashtbl.create 16 in
   let moves = ref [] in
   let move_index = ref 0 in
@@ -51,7 +53,7 @@ let stats (o : 'a outcome) =
           moves := (who, !move_index) :: !moves;
           incr move_index
       | Delivered _ | Dropped _ | Halted _ | Started _ | Fault _ -> ())
-    o.trace;
+    trace;
   {
     sends_per_pair =
       List.sort

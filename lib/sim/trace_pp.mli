@@ -9,7 +9,9 @@ val chart : ?limit:int -> 'a Types.outcome -> string
     distinct from a delivery in long traces), injected faults with
     per-kind glyphs ([++ dup], [~~ corrupt], [.. delay], [!!CRASH!!]),
     moves and halts. [limit] truncates long traces (default 200 events)
-    with a trailing summary line. *)
+    with a trailing summary line.
+    @raise Invalid_argument on a run whose config did not record
+    ([Runner.recorded_trace]). *)
 
 type stats = {
   sends_per_pair : ((int * int) * int) list;  (** sorted, descending *)
@@ -18,5 +20,6 @@ type stats = {
 }
 
 val stats : 'a Types.outcome -> stats
+(** @raise Invalid_argument on a run whose config did not record. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -33,7 +33,7 @@ let outcome_repr ~show (o : 'a Sim.Types.outcome) =
     (fun e ->
       Buffer.add_string b (event_repr show e);
       Buffer.add_char b ';')
-    o.Sim.Types.trace;
+    (Sim.Runner.recorded_trace ~who:"Differential.outcome_repr" o);
   Printf.sprintf "%s moves=[%s] sent=%d delivered=%d steps=%d halted=%s %s trace=%s"
     (term_repr o.termination) (moves_repr show o.moves) o.messages_sent
     o.messages_delivered o.steps

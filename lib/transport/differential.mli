@@ -10,7 +10,9 @@ val outcome_repr : show:('a -> string) -> 'a Sim.Types.outcome -> string
     outcome: termination, moves, sent/delivered/steps, halted flags,
     [Obs.Metrics.det_repr], and an MD5 digest of the full trace. Two
     runs with equal [outcome_repr] agree on everything the determinism
-    contract covers. *)
+    contract covers.
+    @raise Invalid_argument on a run whose config did not record
+    ([Sim.Runner.recorded_trace]): its digest would cover nothing. *)
 
 val profile : show:('a -> string) -> 'a Sim.Types.outcome -> string
 (** The run's point in outcome space — termination + moves — the key

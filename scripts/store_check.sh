@@ -2,10 +2,11 @@
 # Durability check (DESIGN.md section 16), run from the repo root by
 # `make store-check`:
 #
-#   1. journal a run, replay it, require the stored-trace verification;
-#      the same for a faulted run (burnt decisions and fallbacks in the
-#      journal) and for that run cut short by --fuel (a journal ending on
-#      a watchdog entry), plus time travel into the faulted journal;
+#   1. journal a run, require that it stored trace events, replay it,
+#      require the stored-trace verification; the same for a faulted run
+#      (burnt decisions and fallbacks in the journal) and for that run
+#      cut short by --fuel (a journal ending on a watchdog entry), plus
+#      time travel into the faulted journal;
 #   2. tear the final record off the store: replay must recover with a
 #      warning and exit 0, and time travel must still work;
 #   3. an unrecoverable store must exit 1, a usage error 2;
@@ -27,20 +28,35 @@ fail() {
 
 [ -x "$CTMED" ] || fail "$CTMED not built (run: dune build bin/ctmed.exe)"
 
+# A finished journaled run stores metadata + one entry per decision +
+# its trace events + metrics, as `ctmed run --journal` reports in its
+# "journaled D decisions (R records)" line. A run whose config stopped
+# recording would store no event and leave replay's trace cross-check
+# nothing to compare, so require R > D + 2.
+require_events() {
+  counts=$(sed -n 's/^journaled \([0-9]*\) decisions (\([0-9]*\) records).*/\1 \2/p' "$2")
+  [ -n "$counts" ] || fail "$1: no journaled line in the run's output"
+  set -- "$1" $counts
+  [ "$3" -gt $(($2 + 2)) ] \
+    || fail "$1: the journaled run stored no trace events ($2 decisions, $3 records)"
+}
+
 # --- 1. journal + verified replay ---------------------------------------
-"$CTMED" run coordination --seed 3 --journal "$WORK/run.ctst" >/dev/null \
+"$CTMED" run coordination --seed 3 --journal "$WORK/run.ctst" >"$WORK/run.log" \
   || fail "journaled run failed"
+require_events run "$WORK/run.log"
 "$CTMED" replay "$WORK/run.ctst" >"$WORK/replay.out" 2>&1 \
   || fail "clean replay exited non-zero"
 grep -q "verified: replay matches" "$WORK/replay.out" \
   || fail "clean replay did not verify against the stored trace"
 
 FAULTS="--faults dup=0.1,delay=0.2,crash=0.1"
-"$CTMED" run coordination --seed 3 $FAULTS --journal "$WORK/faults.ctst" >/dev/null \
+"$CTMED" run coordination --seed 3 $FAULTS --journal "$WORK/faults.ctst" >"$WORK/faults.log" \
   || fail "journaled faulted run failed"
-"$CTMED" run coordination --seed 3 $FAULTS --fuel 800 --journal "$WORK/fuel.ctst" >/dev/null \
-  || fail "journaled fuel-limited run failed"
+"$CTMED" run coordination --seed 3 $FAULTS --fuel 800 --journal "$WORK/fuel.ctst" \
+  >"$WORK/fuel.log" || fail "journaled fuel-limited run failed"
 for store in faults fuel; do
+  require_events "$store" "$WORK/$store.log"
   "$CTMED" replay "$WORK/$store.ctst" >"$WORK/$store.out" 2>&1 \
     || fail "$store replay exited non-zero: $(cat "$WORK/$store.out")"
   grep -q "verified: replay matches" "$WORK/$store.out" \

@@ -130,7 +130,10 @@ let test_effect_wrap_clean () =
   no_errors "ping-pong wrappers" (EL.findings t)
 
 let test_check_trace_clean () =
-  let o = Sim.Runner.run (Sim.Runner.config ~scheduler:(Sim.Scheduler.fifo ()) (Fx.ping_pong ())) in
+  let o =
+    Sim.Runner.run
+      (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.fifo ()) (Fx.ping_pong ()))
+  in
   no_errors "ping-pong trace" (EL.check_trace o);
   no_errors "check_run alias" (Analysis.check_run o)
 
@@ -139,11 +142,38 @@ let test_check_trace_send_after_halt () =
      batch leaves a Sent-after-Halted pattern in the trace. *)
   let bad = { inert with start = (fun () -> [ Halt; Send (1, 0) ]) } in
   let procs = [| bad; inert |] in
-  let o = Sim.Runner.run (Sim.Runner.config ~scheduler:(Sim.Scheduler.fifo ()) procs) in
+  let o =
+    Sim.Runner.run (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.fifo ()) procs)
+  in
   Alcotest.(check bool) "send-after-halt caught in trace" true
     (List.exists
        (fun f -> f.F.severity = F.Error && f.F.detail = "message sent after the sender halted")
        (EL.check_trace o))
+
+(* Every trace reader refuses a run whose config did not record: its
+   empty trace would read as a clean lint, no races, an empty chart or
+   a digest of nothing. A recorded run of the same config is read. *)
+let test_readers_refuse_unrecorded () =
+  let run ?record () =
+    Sim.Runner.run
+      (Sim.Runner.config ?record ~scheduler:(Sim.Scheduler.fifo ()) (Fx.ping_pong ()))
+  in
+  let off = run () and on = run ~record:true () in
+  let refuses name read =
+    (match read off with
+    | () -> Alcotest.failf "%s read an unrecorded run" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (name ^ " names ~record:true") true
+          (contains ~needle:"~record:true" msg));
+    read on
+  in
+  refuses "Trace_pp.chart" (fun o -> ignore (Sim.Trace_pp.chart o));
+  refuses "Trace_pp.stats" (fun o -> ignore (Sim.Trace_pp.stats o));
+  refuses "Runner.message_pattern" (fun o -> ignore (Sim.Runner.message_pattern o));
+  refuses "Analysis.check_run" (fun o -> ignore (Analysis.check_run o));
+  refuses "Mc.races_of_outcome" (fun o -> ignore (Analysis.Mc.races_of_outcome o));
+  refuses "Differential.outcome_repr" (fun o ->
+      ignore (Transport.Differential.outcome_repr ~show:string_of_int o))
 
 (* ------------------------------------------------------------------ *)
 (* Circuit linter *)
@@ -404,6 +434,8 @@ let () =
           Alcotest.test_case "wrapper clean run" `Quick test_effect_wrap_clean;
           Alcotest.test_case "trace clean" `Quick test_check_trace_clean;
           Alcotest.test_case "trace send-after-halt" `Quick test_check_trace_send_after_halt;
+          Alcotest.test_case "readers refuse an unrecorded run" `Quick
+            test_readers_refuse_unrecorded;
         ] );
       ( "circuit",
         [

@@ -236,11 +236,12 @@ let repr_digest o = Digest.to_hex (Digest.string (outcome_repr o))
 
 (* Whole outcomes (termination, moves, counts, metrics and the full
    trace) pinned to the digests these runs had before settle-on-change,
-   history-only-for-readers and dense ABA state, none of which may
-   change them. *)
+   history-only-for-readers, dense ABA state and the unrecorded default,
+   none of which may change them. *)
 let test_golden_digests () =
   let run ?faults ?attacker plan scheduler seed =
-    Sim.Runner.run (session_config ?faults ?attacker (Lazy.force plan) ~scheduler ~seed)
+    Sim.Runner.run
+      (session_config ~record:true ?faults ?attacker (Lazy.force plan) ~scheduler ~seed)
   in
   let check name expected got = Alcotest.(check string) name expected got in
   List.iter
@@ -311,7 +312,8 @@ let test_history_declarations_unobservable () =
               ~relaxed:fresh.relaxed fresh.choose
           in
           let repr scheduler =
-            outcome_repr (Sim.Runner.run (session_config (Lazy.force coord5) ~scheduler ~seed))
+            outcome_repr
+              (Sim.Runner.run (session_config ~record:true (Lazy.force coord5) ~scheduler ~seed))
           in
           Alcotest.(check string)
             (Printf.sprintf "%s seed %d: as built = as a history reader" built.name seed)
@@ -361,6 +363,30 @@ let test_laggard_history_without_trace () =
         (off.Sim.Types.trace = []))
     [ 1; 2; 3 ]
 
+(* --- allocation budget --- *)
+
+(* One coord5 session as [ctmed serve] builds it (the default config:
+   no trace), run through a warm slot. From the second run on its minor
+   word count repeats exactly, so the budget has no noise: a recording
+   default or an event built per delivery for nobody breaks it. *)
+let test_alloc_budget () =
+  let slot = Sim.Runner.Slot.create () in
+  let session () =
+    let cfg =
+      session_config (Lazy.force coord5) ~scheduler:(Sim.Scheduler.random_seeded 1) ~seed:1
+    in
+    let before = Gc.minor_words () in
+    let o = Sim.Runner.run ~slot cfg in
+    (o, Gc.minor_words () -. before)
+  in
+  ignore (session ());
+  let o, words = session () in
+  Alcotest.(check bool) "trace off by default" true (o.Sim.Types.trace = []);
+  let per_delivery = words /. float_of_int o.Sim.Types.messages_delivered in
+  if per_delivery > 95.0 then
+    Alcotest.failf "%.0f minor words for %d delivered messages: %.1f per delivery > 95" words
+      o.Sim.Types.messages_delivered per_delivery
+
 let () =
   Alcotest.run "cheaptalk"
     [
@@ -397,4 +423,5 @@ let () =
           Alcotest.test_case "laggard reads history without the trace" `Quick
             test_laggard_history_without_trace;
         ] );
+      ("alloc", [ Alcotest.test_case "words per delivered message" `Quick test_alloc_budget ]);
     ]

@@ -262,7 +262,7 @@ let id_fuzz ~src:_ ~dst:_ ~seq:_ (j : int) = j
 
 let faulted_run ~seed ~rounds =
   Runner.run
-    (Runner.config ~scheduler:(Scheduler.fifo ())
+    (Runner.config ~record:true ~scheduler:(Scheduler.fifo ())
        ~faults:(Faults.Plan.make ~seed heavy_faults)
        ~fuzz:id_fuzz
        [| ping_pong ~rounds 0; ping_pong ~rounds 1 |])

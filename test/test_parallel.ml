@@ -333,7 +333,10 @@ let test_seeded_bug_caught_in_worker_domain () =
      bug (send after halt): the Failure must cross the domain boundary *)
   let rogue_trial _seed =
     let bad = { inert with Sim.Types.start = (fun () -> Sim.Types.[ Halt; Send (1, 0) ]) } in
-    let o = Sim.Runner.run (Sim.Runner.config ~scheduler:(Sim.Scheduler.fifo ()) [| bad; inert |]) in
+    let o =
+      Sim.Runner.run
+        (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.fifo ()) [| bad; inert |])
+    in
     match F.errors (Analysis.check_run o) with
     | [] -> ()
     | f :: _ -> failwith (Format.asprintf "lint: %a" F.pp f)

@@ -26,8 +26,10 @@ let ping_pong_processes () =
   in
   [| p0; p1 |]
 
+(* Recorded: most tests here read the trace. *)
 let run ?mediator ?max_steps ?starvation_bound scheduler processes =
-  Sim.Runner.run (Sim.Runner.config ?mediator ?max_steps ?starvation_bound ~scheduler processes)
+  Sim.Runner.run
+    (Sim.Runner.config ~record:true ?mediator ?max_steps ?starvation_bound ~scheduler processes)
 
 let test_ping_pong () =
   let o = run (Sim.Scheduler.fifo ()) (ping_pong_processes ()) in
@@ -294,6 +296,43 @@ let test_pending_set () =
   Alcotest.(check bool) "choose_where none" true
     (Option.is_none (choose_where s (fun v -> v.Sim.Types.id = 9) ~rng))
 
+(* Differential check of [nth], which walks from the nearer end, against
+   the list walk: after every step of a random sequence of append,
+   remove and clear, [nth s i] is the i-th element of [to_list s] for
+   every i, so both halves of the list are covered. *)
+let prop_nth_matches_to_list =
+  QCheck.Test.make ~count:300 ~name:"pending set: nth agrees with to_list"
+    QCheck.(list_of_size Gen.(0 -- 200) (pair (int_bound 9) small_nat))
+    (fun ops ->
+      let open Sim.Pending_set in
+      let s = create () in
+      (* handles appended since the last clear (stale ones must not be
+         removed after [clear]); removing one twice is a no-op *)
+      let handles = ref [||] in
+      let next_id = ref 0 in
+      List.for_all
+        (fun (op, k) ->
+          (if op = 0 then begin
+             clear s;
+             handles := [||]
+           end
+           else if op <= 4 && Array.length !handles > 0 then
+             remove s !handles.(k mod Array.length !handles)
+           else begin
+             let id = !next_id in
+             incr next_id;
+             let v =
+               { Sim.Types.id; src = k mod 3; dst = 1; seq = id; sent_step = 0; batch = -1 }
+             in
+             handles := Array.append !handles [| append s v |]
+           end);
+          let l = Array.of_list (to_list s) in
+          Array.length l = count s
+          && List.for_all
+               (fun i -> Int.equal (nth s i).Sim.Types.id l.(i).Sim.Types.id)
+               (List.init (Array.length l) Fun.id))
+        ops)
+
 (* --- exhaustive exploration --- *)
 
 let test_explore_ping_pong_confluent () =
@@ -456,19 +495,19 @@ let test_wall_limit_not_hit () =
   Alcotest.(check int) "no timeout counted" 0 o.metrics.Obs.Metrics.timed_out
 
 let test_record_off_same_outcome () =
-  (* record:false drops the trace/pattern but must not change anything
+  (* the default keeps no trace, and recording must not change anything
      else the outcome reports *)
   let on =
     Sim.Runner.run
-      (Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded 5) (ping_pong_processes ()))
+      (Sim.Runner.config ~record:true ~scheduler:(Sim.Scheduler.random_seeded 5)
+         (ping_pong_processes ()))
   in
   let off =
     Sim.Runner.run
-      (Sim.Runner.config ~record:false ~scheduler:(Sim.Scheduler.random_seeded 5)
-         (ping_pong_processes ()))
+      (Sim.Runner.config ~scheduler:(Sim.Scheduler.random_seeded 5) (ping_pong_processes ()))
   in
-  Alcotest.(check bool) "trace recorded by default" true (on.trace <> []);
-  Alcotest.(check bool) "trace empty when off" true (off.trace = []);
+  Alcotest.(check bool) "trace recorded on request" true (on.trace <> []);
+  Alcotest.(check bool) "trace off by default" true (off.trace = []);
   Alcotest.(check bool) "same termination" true (on.termination = off.termination);
   Alcotest.(check int) "same steps" on.steps off.steps;
   Alcotest.(check int) "same sent" on.messages_sent off.messages_sent;
@@ -495,6 +534,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "pending set" `Quick test_pending_set;
           Alcotest.test_case "outcome not aliased" `Quick test_step_outcome_not_aliased;
+          QCheck_alcotest.to_alcotest ~long:false prop_nth_matches_to_list;
         ] );
       ( "watchdogs",
         [

@@ -227,9 +227,12 @@ let mk_world ?(n = 4) ?(rounds = 3) () : (int, int) T.process array =
         will = no_will;
       })
 
+(* Recorded, as [ctmed run --journal] records: [same_outcome] compares
+   traces. *)
 let mk_cfg ?faults seed =
   let fplan = Option.map (Faults.Plan.make ~seed) faults in
-  Runner.config ~scheduler:(Scheduler.random_seeded seed) ?faults:fplan (mk_world ())
+  Runner.config ~record:true ~scheduler:(Scheduler.random_seeded seed) ?faults:fplan
+    (mk_world ())
 
 let same_outcome what (a : int T.outcome) (b : int T.outcome) =
   Alcotest.(check bool) (what ^ ": moves") true (a.T.moves = b.T.moves);
@@ -238,7 +241,8 @@ let same_outcome what (a : int T.outcome) (b : int T.outcome) =
   Alcotest.(check int) (what ^ ": delivered") a.T.messages_delivered
     b.T.messages_delivered;
   Alcotest.(check int) (what ^ ": steps") a.T.steps b.T.steps;
-  Alcotest.(check bool) (what ^ ": trace") true (a.T.trace = b.T.trace);
+  Alcotest.(check bool) (what ^ ": trace") true
+    (Runner.recorded_trace ~who:what a = Runner.recorded_trace ~who:what b);
   Alcotest.(check bool) (what ^ ": halted") true (a.T.halted = b.T.halted);
   Alcotest.(check string) (what ^ ": metrics")
     (Obs.Metrics.det_repr a.T.metrics)
@@ -342,7 +346,7 @@ let test_resume_across_mediator_batch_boundary () =
      — plus the conservation law sent = delivered + dropped *)
   let mk () =
     let got0 = ref false and got1 = ref false in
-    Runner.config ~mediator:2
+    Runner.config ~record:true ~mediator:2
       ~scheduler:(Scheduler.relaxed_stop_after 4)
       ~faults:
         (Faults.Plan.custom
@@ -449,7 +453,8 @@ let test_stored_watchdog_ends_the_replay () =
      any host *)
   let seed = 1 in
   let fueled =
-    Runner.config ~fuel:10 ~scheduler:(Scheduler.random_seeded seed) (mk_world ())
+    Runner.config ~record:true ~fuel:10 ~scheduler:(Scheduler.random_seeded seed)
+      (mk_world ())
   in
   let full, entries = journal_run fueled in
   Alcotest.(check bool) "the fuel fired" true (full.T.termination = T.Timed_out);

@@ -80,7 +80,7 @@ let prop_random_protocols_identical =
     (fun (seed, sched, n_extra) ->
       let n = 2 + n_extra in
       let cfg () =
-        Runner.config
+        Runner.config ~record:true
           ~scheduler:(scheduler_of_variant sched seed)
           (random_protocol ~n ~seed ())
       in
@@ -97,7 +97,7 @@ let prop_random_protocols_with_faults =
     QCheck.(pair (int_bound 500) (int_bound 3))
     (fun (seed, sched) ->
       let cfg () =
-        Runner.config
+        Runner.config ~record:true
           ~scheduler:(scheduler_of_variant sched seed)
           ~faults:(Faults.Plan.make ~seed faults)
           ~fuzz:(fun ~src:_ ~dst:_ ~seq:_ m -> m + 1000)
@@ -111,7 +111,7 @@ let prop_relaxed_identical =
     QCheck.(pair (int_bound 500) (int_bound 12))
     (fun (seed, stop_after) ->
       let cfg () =
-        Runner.config
+        Runner.config ~record:true
           ~scheduler:(Scheduler.relaxed_stop_after stop_after)
           (random_protocol ~n:3 ~seed ())
       in
@@ -167,8 +167,8 @@ let test_loop_branches_identical () =
             let cfg () =
               let faults = if faulted then Some (Faults.Plan.make ~seed faults) else None in
               let fuzz = if faulted then Some (fun ~src:_ ~dst:_ ~seq:_ m -> m + 1000) else None in
-              Runner.config ?faults ?fuzz ?max_steps ?fuel ~scheduler:(scheduler seed)
-                (random_protocol ~n:4 ~seed ())
+              Runner.config ~record:true ?faults ?fuzz ?max_steps ?fuel
+                ~scheduler:(scheduler seed) (random_protocol ~n:4 ~seed ())
             in
             let o_sim = Runner.run (cfg ()) and o_live = Live.run (cfg ()) in
             let check what get =
@@ -227,7 +227,7 @@ let prop_recycled_equals_fresh =
         let fuzz =
           if variant = 1 then Some (fun ~src:_ ~dst:_ ~seq:_ m -> m + 1000) else None
         in
-        Runner.config ~scheduler ?faults ?fuzz (random_protocol ~n:4 ~seed ())
+        Runner.config ~record:true ~scheduler ?faults ?fuzz (random_protocol ~n:4 ~seed ())
       in
       let seeds = List.init 6 (fun i -> seed0 + i) in
       let fresh =
@@ -249,7 +249,8 @@ let prop_recycled_equals_fresh =
 let test_slot_reuse_across_arities () =
   let slot = Runner.Slot.create () in
   let cfg ~n seed =
-    Runner.config ~scheduler:(Scheduler.random_seeded seed) (random_protocol ~n ~seed ())
+    Runner.config ~record:true ~scheduler:(Scheduler.random_seeded seed)
+      (random_protocol ~n ~seed ())
   in
   Alcotest.(check bool) "cold slot" false (Runner.Slot.is_warm slot);
   let r1 = repr (Runner.run ~slot (cfg ~n:3 7)) in
@@ -273,7 +274,7 @@ let test_crash_window_conservation_matches_sim () =
   let faults = Faults.make ~crash:0.5 ~crash_window:8 () in
   for seed = 0 to 24 do
     let cfg () =
-      Runner.config
+      Runner.config ~record:true
         ~scheduler:(Scheduler.random_seeded seed)
         ~faults:(Faults.Plan.make ~seed faults)
         (random_protocol ~n:4 ~seed ())
@@ -327,14 +328,15 @@ let test_raising_process_teardown () =
               tick ();
               p.T.receive ~src m);
         };
-      Runner.config ~scheduler:(Scheduler.random_seeded seed) ps
+      Runner.config ~record:true ~scheduler:(Scheduler.random_seeded seed) ps
     in
     let r_sim = result Runner.run (cfg ()) in
     let r_live = result Live.run (cfg ()) in
     Alcotest.(check string) (Printf.sprintf "seed %d raises as sim" seed) r_sim r_live;
     if String.starts_with ~prefix:"Boom" r_live then incr raised;
     let clean () =
-      Runner.config ~scheduler:(Scheduler.random_seeded seed) (random_protocol ~n:4 ~seed ())
+      Runner.config ~record:true ~scheduler:(Scheduler.random_seeded seed)
+        (random_protocol ~n:4 ~seed ())
     in
     Alcotest.(check string)
       (Printf.sprintf "seed %d next run clean" seed)
@@ -353,7 +355,7 @@ let test_serve_deterministic_across_shapes () =
      shard count and -j (the inflight values passed are inert) *)
   let sessions = 13 in
   let make ~seed =
-    Runner.config ~scheduler:(Scheduler.random_seeded seed)
+    Runner.config ~record:true ~scheduler:(Scheduler.random_seeded seed)
       (random_protocol ~n:4 ~seed ())
   in
   let profile = Diff.outcome_repr ~show in
