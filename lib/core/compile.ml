@@ -121,6 +121,10 @@ let cache_size () = List.length !(Domain.DLS.get memo_dls)
 
 let player_rng ~seed ~me = Random.State.make [| 0xC0DE; seed; me |]
 
+let[@tail_mod_cons] rec sends_onto tail = function
+  | [] -> tail
+  | (dst, m) :: rest -> Send (dst, m) :: sends_onto tail rest
+
 let player_process p ~me ~type_ ~coin_seed ~seed =
   let spec = p.spec in
   let n = spec.Spec.game.Games.Game.n in
@@ -131,11 +135,11 @@ let player_process p ~me ~type_ ~coin_seed ~seed =
       ~rng:(player_rng ~seed ~me) ~coin_seed ()
   in
   let emit (r : Engine.reaction) =
-    List.map (fun (dst, m) -> Send (dst, m)) r.Engine.sends
-    @
-    match r.Engine.result with
-    | Some v -> [ Move (spec.Spec.decode_action ~player:me v); Halt ]
-    | None -> []
+    sends_onto
+      (match r.Engine.result with
+      | Some v -> [ Move (spec.Spec.decode_action ~player:me v); Halt ]
+      | None -> [])
+      r.Engine.sends
   in
   let will () =
     (* A will only matters while the player has not moved; once the engine

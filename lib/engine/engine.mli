@@ -27,8 +27,8 @@
     no pattern nodes; the runner then builds no event per delivery at
     all. [ctmed serve], {!Toy} and the served-session benchmark's
     untraced runs all build their sessions so: a compiled coord5
-    session allocates about 88 minor words per delivered message
-    (test_cheaptalk's [alloc] budget holds it under 95).
+    session allocates about 60 minor words per delivered message
+    (test_cheaptalk's [alloc] budget holds it under 80).
 
     {b Determinism contract.} Everything in {!det_repr} is a pure
     function of (sessions, the workload, the per-session seeds): every

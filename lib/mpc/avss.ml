@@ -26,6 +26,11 @@ type t = {
      progress scan, which dominated the simulator profile. *)
   points : Gf.t option array; (* src -> claimed f_src(me) = f_me(src) *)
   mutable n_points : int;
+  (* Received points that lie on [row]: counted once when the row is set,
+     then 1 more per new point on it (the row and each point are written
+     once). 0 while no row is held. Our own point is the separate +1 of
+     [corroboration]. *)
+  mutable on_row : int;
   mutable readied : bool;
   ready : bool array;
   mutable n_ready : int;
@@ -55,6 +60,7 @@ let create ~n ~degree ~faults ~me ~dealer =
     points_sent = false;
     points = Array.make n None;
     n_points = 0;
+    on_row = 0;
     readied = false;
     ready = Array.make n false;
     n_ready = 0;
@@ -64,14 +70,13 @@ let create ~n ~degree ~faults ~me ~dealer =
 let share s = s.accepted_share
 let is_accepted s = Option.is_some s.accepted_share
 
-let others s = List.filter (fun i -> i <> s.me) (List.init s.n (fun i -> i))
-
 (* Points from others claimed to equal our row at their index (1-based
    evaluation points: player i evaluates at i+1). *)
 let point_of _s i = Gf.of_int (i + 1)
 
-let matching_points s row =
-  let acc = ref 1 (* our own point trivially matches *) in
+(* The received points that lie on [row], counted from scratch. *)
+let count_on_row s row =
+  let acc = ref 0 in
   for src = 0 to s.n - 1 do
     match s.points.(src) with
     | Some p -> if Gf.equal (Poly.eval row (point_of s src)) p then incr acc
@@ -79,25 +84,44 @@ let matching_points s row =
   done;
   !acc
 
-let send_points s row =
-  if s.points_sent then []
+let set_row s row =
+  s.row <- Some row;
+  s.on_row <- count_on_row s row
+
+(* Our own point trivially matches. *)
+let corroboration s = match s.row with Some _ -> 1 + s.on_row | None -> 0
+
+module Ref = struct
+  let matching_points s = match s.row with Some row -> 1 + count_on_row s row | None -> 0
+end
+
+(* [send_points] and [send_ready] build their messages, one per other
+   player in pid order, directly onto [tail]. *)
+let send_points s row tail =
+  if s.points_sent then tail
   else begin
     s.points_sent <- true;
-    List.map (fun j -> (j, Point (Poly.eval row (point_of s j)))) (others s)
+    let acc = ref tail in
+    for j = s.n - 1 downto 0 do
+      if j <> s.me then acc := (j, Point (Poly.eval row (point_of s j))) :: !acc
+    done;
+    !acc
   end
 
-let send_ready s =
-  if s.readied then []
+let send_ready s tail =
+  if s.readied then tail
   else begin
     s.readied <- true;
     if not s.ready.(s.me) then begin
       s.ready.(s.me) <- true;
       s.n_ready <- s.n_ready + 1
     end;
-    List.map (fun j -> (j, Ready)) (others s)
+    let acc = ref tail in
+    for j = s.n - 1 downto 0 do
+      if j <> s.me then acc := (j, Ready) :: !acc
+    done;
+    !acc
   end
-
-let ready_count s = s.n_ready
 
 (* Attempt to recover our row from cross points: the points (j, p_j) we
    received lie on our row. Adopt a decoded row only when it is certified
@@ -132,49 +156,55 @@ let try_recover_row s =
 
 (* Progress rules shared by all handlers. *)
 let progress s =
-  let sends = ref [] in
-  (match s.row with
-  | None -> (
-      (* Row recovery becomes possible as points accumulate, and is only
-         attempted once the instance shows signs of life (some READY). *)
-      if ready_count s >= 1 then
+  let sends =
+    match s.row with
+    | None when s.n_ready >= 1 -> (
+        (* Row recovery becomes possible as points accumulate, and is only
+           attempted once the instance shows signs of life (some READY). *)
         match try_recover_row s with
         | Some row ->
-            s.row <- Some row;
-            sends := send_points s row @ !sends
-        | None -> ())
-  | Some _ -> ());
-  (match s.row with
-  | Some row ->
-      let m = matching_points s row in
-      if m >= s.deg + s.faults + 1 then sends := send_ready s @ !sends
-      else if m >= s.deg + 1 && ready_count s >= s.faults + 1 then
-        (* READY amplification: enough corroboration plus t+1 announcements *)
-        sends := send_ready s @ !sends
-  | None -> ());
+            set_row s row;
+            send_points s row []
+        | None -> [])
+    | _ -> []
+  in
+  let sends =
+    match s.row with
+    | Some _ ->
+        let m = corroboration s in
+        (* READY on enough corroboration, or amplification: enough
+           corroboration plus t+1 announcements *)
+        if m >= s.deg + s.faults + 1 || (m >= s.deg + 1 && s.n_ready >= s.faults + 1) then
+          send_ready s sends
+        else sends
+    | None -> sends
+  in
   let accepted =
     match (s.accepted_share, s.row) with
-    | None, Some row when ready_count s >= (2 * s.faults) + 1 ->
+    | None, Some row when s.n_ready >= (2 * s.faults) + 1 ->
         let sh = Poly.eval row Gf.zero in
         s.accepted_share <- Some sh;
         Some sh
     | _ -> None
   in
-  { sends = !sends; accepted }
+  match (sends, accepted) with [], None -> nothing | _ -> { sends; accepted }
 
+(* [deal] and the Row handler run [progress] before building their own
+   sends, so that those are built onto its sends in one pass; with the
+   row held, [progress] reads neither the rows nor the points flag. *)
 let deal s rng ~secret =
   if s.me <> s.dealer then invalid_arg "Avss.deal: not the dealer";
   if s.row_received then invalid_arg "Avss.deal: already dealt";
   let b = Bipoly.random_symmetric rng ~degree:s.deg ~secret in
   s.row_received <- true;
   let my_row = Bipoly.row b (point_of s s.me) in
-  s.row <- Some my_row;
-  let row_sends =
-    List.map (fun j -> (j, Row (Bipoly.row b (point_of s j)))) (others s)
-  in
-  let pt_sends = send_points s my_row in
+  set_row s my_row;
   let r = progress s in
-  { r with sends = row_sends @ pt_sends @ r.sends }
+  let acc = ref (send_points s my_row r.sends) in
+  for j = s.n - 1 downto 0 do
+    if j <> s.me then acc := (j, Row (Bipoly.row b (point_of s j))) :: !acc
+  done;
+  { r with sends = !acc }
 
 let handle s ~src m =
   match m with
@@ -184,14 +214,15 @@ let handle s ~src m =
         s.row_received <- true;
         if Poly.degree row > s.deg then nothing
         else begin
-          (match s.row with
-          | Some _ -> () (* already recovered; keep the recovered row *)
-          | None -> s.row <- Some row);
-          let sends =
-            match s.row with Some r -> send_points s r | None -> []
+          let held =
+            match s.row with
+            | Some recovered -> recovered (* keep the recovered row; its points are out *)
+            | None ->
+                set_row s row;
+                row
           in
           let r = progress s in
-          { r with sends = sends @ r.sends }
+          { r with sends = send_points s held r.sends }
         end
       end
   | Point p ->
@@ -199,6 +230,9 @@ let handle s ~src m =
       else begin
         s.points.(src) <- Some p;
         s.n_points <- s.n_points + 1;
+        (match s.row with
+        | Some row -> if Gf.equal (Poly.eval row (point_of s src)) p then s.on_row <- s.on_row + 1
+        | None -> ());
         progress s
       end
   | Ready ->

@@ -53,3 +53,16 @@ val share : t -> Field.Gf.t option
 (** Our accepted share, if acceptance happened. *)
 
 val is_accepted : t -> bool
+
+val corroboration : t -> int
+(** Points that match our held row: 1 for our own, plus every received
+    point on the row; 0 while no row is held. The READY rules compare it
+    with [degree + faults + 1] and [degree + 1]. It is kept as a counter:
+    recounted once when the row is set (dealt, received or recovered),
+    then raised by 1 for each new point on it. *)
+
+(** The counter's reference, recomputed from every received point (as
+    [Shamir.Ref] keeps the naive kernels); tests check the two agree. *)
+module Ref : sig
+  val matching_points : t -> int
+end

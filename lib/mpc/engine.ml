@@ -35,6 +35,13 @@ type mul_state = {
   mutable reduced : bool;
 }
 
+(* Sends of one reaction, kept per sub-protocol reaction and wrapped into
+   engine messages once, when the reaction's list is assembled. *)
+type batch =
+  | Shares of session_id * (int * Avss.msg) list
+  | Votes of vote_id * (int * Aba.msg) list
+  | Outputs of (int * msg) list
+
 (* All per-session/per-vote state lives in dense arrays: session and vote
    ids enumerate a fixed finite space (n dealers x {input, randomness
    slots, multiplication gates}), so each id maps to a stable small
@@ -59,19 +66,23 @@ type t = {
   rand_shares : Gf.t option array;
   gate_shares : Gf.t option array;
   muls : mul_state array; (* mul_pos-indexed *)
-  mul_gate_ids : int list;
+  mul_gates : int array; (* mul_pos -> gate index *)
   stages : int array array; (* per stage: one output gate per player *)
   stage_sent : bool array;
   output_points : Gf.t option array; (* stage*n + src -> share of MY stage output *)
   stage_npoints : int array;
   stage_results : Gf.t option array;
   mutable result : Gf.t option;
+  mutable out : batch list; (* this reaction's sends so far, newest first *)
+  mutable fired : int; (* rules fired so far: sends, shares, core, results *)
 }
 
 type reaction = {
   sends : (int * msg) list;
   result : Gf.t option;
 }
+
+let nothing = { sends = []; result = None }
 
 let create ?stages ~n ~degree ~faults ~me ~circuit ~input ~rng ~coin_seed () =
   if n <= 3 * faults then invalid_arg "Engine.create: need n > 3*faults";
@@ -120,16 +131,18 @@ let create ?stages ~n ~degree ~faults ~me ~circuit ~input ~rng ~coin_seed () =
     rand_shares = Array.make n_random None;
     gate_shares = Array.make n_gates None;
     muls = Array.init n_mul (fun _ -> { started = false; reduced = false });
-    mul_gate_ids =
-      List.filter
-        (fun i -> mul_pos.(i) >= 0)
-        (List.init n_gates (fun i -> i));
+    mul_gates =
+      (let g = Array.make n_mul 0 in
+       Array.iteri (fun i p -> if p >= 0 then g.(p) <- i) mul_pos;
+       g);
     stages;
     stage_sent = Array.make (Array.length stages) false;
     output_points = Array.make (Array.length stages * n) None;
     stage_npoints = Array.make (Array.length stages) 0;
     stage_results = Array.make (Array.length stages) None;
     result = None;
+    out = [];
+    fired = 0;
   }
 
 let dealer_of = function
@@ -191,15 +204,42 @@ let vote e vid =
       e.votes.(i) <- Some v;
       v
 
-let wrap_share sid sends = List.map (fun (dst, m) -> (dst, Share_msg (sid, m))) sends
-let wrap_vote vid sends = List.map (fun (dst, m) -> (dst, Vote_msg (vid, m))) sends
+(* --- the outbox --- *)
+
+let emit e b =
+  e.out <- b :: e.out;
+  e.fired <- e.fired + 1
+
+let emit_shares e sid = function [] -> () | sends -> emit e (Shares (sid, sends))
+let emit_votes e vid = function [] -> () | sends -> emit e (Votes (vid, sends))
+
+let[@tail_mod_cons] rec wrap_shares sid tail = function
+  | [] -> tail
+  | (dst, m) :: rest -> (dst, Share_msg (sid, m)) :: wrap_shares sid tail rest
+
+let[@tail_mod_cons] rec wrap_votes vid tail = function
+  | [] -> tail
+  | (dst, m) :: rest -> (dst, Vote_msg (vid, m)) :: wrap_votes vid tail rest
+
+(* The reaction's sends in order, each message wrapped once: the batches
+   are taken from the newest back, each onto the list of those after it. *)
+let take_outbox e =
+  let sends =
+    List.fold_left
+      (fun tail -> function
+        | Shares (sid, sends) -> wrap_shares sid tail sends
+        | Votes (vid, sends) -> wrap_votes vid tail sends
+        | Outputs sends -> sends @ tail)
+      [] e.out
+  in
+  e.out <- [];
+  sends
 
 let propose e vid value =
   let i = vote_index e vid in
-  if e.proposed.(i) then []
-  else begin
+  if not e.proposed.(i) then begin
     e.proposed.(i) <- true;
-    wrap_vote vid (Aba.propose (vote e vid) value).Aba.sends
+    emit_votes e vid (Aba.propose (vote e vid) value).Aba.sends
   end
 
 let decision_at e i = match e.votes.(i) with None -> None | Some v -> Aba.decision v
@@ -223,8 +263,8 @@ let bundle_accepted e d =
   done;
   !ok
 
-let mul_gates e = e.mul_gate_ids
 let mul_state e g = e.muls.(e.mul_pos.(g))
+let rec mem_int x = function [] -> false | y :: rest -> Int.equal x y || mem_int x rest
 
 (* --- the cascade: run all progress rules to a local fixpoint --- *)
 
@@ -233,7 +273,7 @@ let mul_state e g = e.muls.(e.mul_pos.(g))
 let count_yes_block e ~base =
   let acc = ref 0 in
   for d = 0 to e.n - 1 do
-    if decision_at e (base + d) = Some true then incr acc
+    match decision_at e (base + d) with Some true -> incr acc | Some false | None -> ()
   done;
   !acc
 
@@ -244,237 +284,225 @@ let all_decided_block e ~base =
   done;
   !ok
 
-let settle e =
-  let chunks = ref [] in
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    let step sends =
-      match sends with
-      | [] -> ()
-      | _ ->
-          progressed := true;
-          chunks := sends :: !chunks
-    in
+(* The dealers whose vote in the block decided YES, ascending. *)
+let yes_block e ~base =
+  let acc = ref [] in
+  for d = e.n - 1 downto 0 do
+    match decision_at e (base + d) with Some true -> acc := d :: !acc | Some false | None -> ()
+  done;
+  !acc
 
-    (* Propose YES for input dealers whose whole bundle we accepted. *)
+let set_share e gi v =
+  e.gate_shares.(gi) <- Some v;
+  e.fired <- e.fired + 1
+
+(* Gate [gi], whose share is not in yet, once its operands are: linear
+   gates are local, a multiplication gate starts its resharing. *)
+let eval_gate e core gi =
+  match e.circuit.Circuit.gates.(gi) with
+  | Circuit.Input d ->
+      if mem_int d core then begin
+        match session_share e (Input_share d) with Some v -> set_share e gi v | None -> ()
+      end
+      else set_share e gi Gf.zero (* excluded dealer: default input 0 *)
+  | Circuit.Random k -> (
+      match e.rand_shares.(k) with Some v -> set_share e gi v | None -> ())
+  | Circuit.Const c ->
+      (* constants are a valid degree-0 sharing of themselves *)
+      set_share e gi c
+  | Circuit.Add (a, b) -> (
+      match (e.gate_shares.(a), e.gate_shares.(b)) with
+      | Some va, Some vb -> set_share e gi (Gf.add va vb)
+      | _ -> ())
+  | Circuit.Sub (a, b) -> (
+      match (e.gate_shares.(a), e.gate_shares.(b)) with
+      | Some va, Some vb -> set_share e gi (Gf.sub va vb)
+      | _ -> ())
+  | Circuit.Scale (c, a) -> (
+      match e.gate_shares.(a) with Some va -> set_share e gi (Gf.mul c va) | None -> ())
+  | Circuit.Mul (a, b) -> (
+      let st = mul_state e gi in
+      match (e.gate_shares.(a), e.gate_shares.(b)) with
+      | Some va, Some vb when not st.started ->
+          st.started <- true;
+          (* Reshare our degree-2t product share. *)
+          let sid = Mul_share (gi, e.me) in
+          emit_shares e sid (Avss.deal (session e sid) e.rng ~secret:(Gf.mul va vb)).Avss.sends
+      | _ -> ())
+
+(* A started multiplication gate's agreement on its contributors and its
+   degree reduction. *)
+let reduce_gate e gi st =
+  let vote_base = e.n + (e.mul_pos.(gi) * e.n) in
+  let share_base = (e.n * (1 + e.circuit.Circuit.n_random)) + (e.mul_pos.(gi) * e.n) in
+  (* Vote YES for contributors whose resharing we accepted. *)
+  for d = 0 to e.n - 1 do
+    if (not e.proposed.(vote_base + d)) && session_accepted_at e (share_base + d) then
+      propose e (Mul_vote (gi, d)) true
+  done;
+  (* Close-out once enough contributors for a degree-2d interpolation
+     are in. *)
+  if count_yes_block e ~base:vote_base >= (2 * e.deg) + 1 then
     for d = 0 to e.n - 1 do
-      if (not e.proposed.(d)) && bundle_accepted e d then
-        step (propose e (Input_vote d) true)
+      if not e.proposed.(vote_base + d) then propose e (Mul_vote (gi, d)) false
+    done;
+  (* Reduction: all votes decided, all YES resharings in hand. *)
+  if all_decided_block e ~base:vote_base then begin
+    let contributors = yes_block e ~base:vote_base in
+    if
+      List.length contributors >= (2 * e.deg) + 1
+      && List.for_all (fun d -> session_accepted_at e (share_base + d)) contributors
+    then begin
+      (* the coefficients come in the order of the indices given *)
+      let lambda = Shamir.lagrange_at_zero (List.map (fun d -> d + 1) contributors) in
+      let share =
+        List.fold_left2
+          (fun s d (_, coeff) ->
+            match session_share_at e (share_base + d) with
+            | Some v -> Gf.add s (Gf.mul coeff v)
+            | None -> s)
+          Gf.zero contributors lambda
+      in
+      st.reduced <- true;
+      set_share e gi share
+    end
+  end
+
+let all_shared e outs =
+  let ok = ref true in
+  for i = 0 to Array.length outs - 1 do
+    if Option.is_none e.gate_shares.(outs.(i)) then ok := false
+  done;
+  !ok
+
+(* Send stage [si]'s output shares: player o's to player o, ours kept. *)
+let dispatch_stage e si =
+  let outs = e.stages.(si) in
+  e.stage_sent.(si) <- true;
+  let sends = ref [] in
+  for o = e.n - 1 downto 0 do
+    match e.gate_shares.(outs.(o)) with
+    | Some v ->
+        if o = e.me then begin
+          if Option.is_none e.output_points.((si * e.n) + e.me) then begin
+            e.output_points.((si * e.n) + e.me) <- Some v;
+            e.stage_npoints.(si) <- e.stage_npoints.(si) + 1
+          end
+        end
+        else sends := (o, Output_msg (si, v)) :: !sends
+    | None -> ()
+  done;
+  match !sends with [] -> () | sends -> emit e (Outputs sends)
+
+(* Stage reconstruction via online error correction. The point arrays
+   are only materialised once enough shares are in for the e = 0
+   attempt to be admissible (r >= 2t+1). *)
+let reconstruct_stage e si =
+  let npts = e.stage_npoints.(si) in
+  if npts >= (2 * e.deg) + 1 then begin
+    let idx = Array.make npts 0 in
+    let ys = Array.make npts Gf.zero in
+    let i = ref 0 in
+    for src = 0 to e.n - 1 do
+      match e.output_points.((si * e.n) + src) with
+      | Some v ->
+          idx.(!i) <- src + 1;
+          ys.(!i) <- v;
+          incr i
+      | None -> ()
+    done;
+    (* Reveals are robust up to the sharing degree: rational players may
+       corrupt their shares even when the fault budget is lower, and
+       n >= 3*degree + 1 regimes must absorb that (Theorem 4.4's
+       cotermination argument). *)
+    match Shamir.online_decode_arrays ~t:e.deg ~max_faults:(max e.deg e.faults) idx ys with
+    | Some v ->
+        e.stage_results.(si) <- Some v;
+        if si = Array.length e.stages - 1 then e.result <- Some v;
+        e.fired <- e.fired + 1
+    | None -> ()
+  end
+
+(* One pass of every rule, in a fixed order. *)
+let settle_pass e =
+  (* Propose YES for input dealers whose whole bundle we accepted. *)
+  for d = 0 to e.n - 1 do
+    if (not e.proposed.(d)) && bundle_accepted e d then propose e (Input_vote d) true
+  done;
+
+  (* Input close-out: n-f accepted dealers seen -> vote NO on the rest. *)
+  if count_yes_block e ~base:0 >= e.n - e.faults then
+    for d = 0 to e.n - 1 do
+      if not e.proposed.(d) then propose e (Input_vote d) false
     done;
 
-    (* Input close-out: n-f accepted dealers seen -> vote NO on the rest. *)
-    if count_yes_block e ~base:0 >= e.n - e.faults then
-      for d = 0 to e.n - 1 do
-        if not e.proposed.(d) then step (propose e (Input_vote d) false)
+  (* Input completion: all votes decided and accepted bundles in hand. *)
+  (match e.core with
+  | Some _ -> ()
+  | None ->
+      if all_decided_block e ~base:0 then begin
+        let yes = yes_block e ~base:0 in
+        if List.for_all (bundle_accepted e) yes then begin
+          e.core <- Some yes;
+          (* Randomness wires: sum of the core's contributions. *)
+          for k = 0 to e.circuit.Circuit.n_random - 1 do
+            let sum =
+              List.fold_left
+                (fun s d ->
+                  match session_share_at e (e.n + (k * e.n) + d) with
+                  | Some v -> Gf.add s v
+                  | None -> s)
+                Gf.zero yes
+            in
+            e.rand_shares.(k) <- Some sum
+          done;
+          e.fired <- e.fired + 1
+        end
+      end);
+
+  (* Gate evaluation (only once the core is known), then the
+     multiplication reductions in flight. *)
+  (match e.core with
+  | None -> ()
+  | Some core ->
+      for gi = 0 to Array.length e.gate_shares - 1 do
+        if Option.is_none e.gate_shares.(gi) then eval_gate e core gi
       done;
+      for pos = 0 to Array.length e.muls - 1 do
+        let st = e.muls.(pos) in
+        if st.started && not st.reduced then reduce_gate e e.mul_gates.(pos) st
+      done);
 
-    (* Input completion: all votes decided and accepted bundles in hand. *)
-    (match e.core with
-    | Some _ -> ()
-    | None ->
-        if all_decided_block e ~base:0 then begin
-          let yes =
-            List.filter (fun d -> decision_at e d = Some true)
-              (List.init e.n (fun d -> d))
-          in
-          if List.for_all (bundle_accepted e) yes then begin
-            e.core <- Some yes;
-            (* Randomness wires: sum of the core's contributions. *)
-            for k = 0 to e.circuit.Circuit.n_random - 1 do
-              let sum =
-                List.fold_left
-                  (fun s d ->
-                    match session_share_at e (e.n + (k * e.n) + d) with
-                    | Some v -> Gf.add s v
-                    | None -> s)
-                  Gf.zero yes
-              in
-              e.rand_shares.(k) <- Some sum
-            done;
-            progressed := true
-          end
-        end);
-
-    (* Gate evaluation (only once the core is known). *)
-    (match e.core with
-    | None -> ()
-    | Some core ->
-        Array.iteri
-          (fun gi gate ->
-            if Option.is_none e.gate_shares.(gi) then begin
-              let value v = e.gate_shares.(gi) <- Some v; progressed := true in
-              let ready j = e.gate_shares.(j) in
-              match gate with
-              | Circuit.Input d ->
-                  if List.mem d core then begin
-                    match session_share e (Input_share d) with
-                    | Some v -> value v
-                    | None -> ()
-                  end
-                  else value Gf.zero (* excluded dealer: default input 0 *)
-              | Circuit.Random k -> (
-                  match e.rand_shares.(k) with Some v -> value v | None -> ())
-              | Circuit.Const c ->
-                  (* constants are a valid degree-0 sharing of themselves *)
-                  value c
-              | Circuit.Add (a, b) -> (
-                  match (ready a, ready b) with
-                  | Some va, Some vb -> value (Gf.add va vb)
-                  | _ -> ())
-              | Circuit.Sub (a, b) -> (
-                  match (ready a, ready b) with
-                  | Some va, Some vb -> value (Gf.sub va vb)
-                  | _ -> ())
-              | Circuit.Scale (c, a) -> (
-                  match ready a with Some va -> value (Gf.mul c va) | None -> ())
-              | Circuit.Mul (a, b) -> (
-                  let st = mul_state e gi in
-                  match (ready a, ready b) with
-                  | Some va, Some vb ->
-                      if not st.started then begin
-                        st.started <- true;
-                        (* Reshare our degree-2t product share. *)
-                        let sid = Mul_share (gi, e.me) in
-                        let r =
-                          Avss.deal (session e sid) e.rng ~secret:(Gf.mul va vb)
-                        in
-                        step (wrap_share sid r.Avss.sends)
-                      end
-                  | _ -> ())
-            end)
-          e.circuit.Circuit.gates;
-
-        (* Multiplication reductions in flight. *)
-        List.iter
-          (fun gi ->
-            let st = mul_state e gi in
-            if st.started && not st.reduced then begin
-              let vote_base = e.n + (e.mul_pos.(gi) * e.n) in
-              let share_base =
-                (e.n * (1 + e.circuit.Circuit.n_random)) + (e.mul_pos.(gi) * e.n)
-              in
-              (* Vote YES for contributors whose resharing we accepted. *)
-              for d = 0 to e.n - 1 do
-                if (not e.proposed.(vote_base + d)) && session_accepted_at e (share_base + d)
-                then step (propose e (Mul_vote (gi, d)) true)
-              done;
-              (* Close-out once enough contributors for a degree-2d
-                 interpolation are in. *)
-              if count_yes_block e ~base:vote_base >= (2 * e.deg) + 1 then
-                for d = 0 to e.n - 1 do
-                  if not e.proposed.(vote_base + d) then
-                    step (propose e (Mul_vote (gi, d)) false)
-                done;
-              (* Reduction: all votes decided, all YES resharings in hand. *)
-              if all_decided_block e ~base:vote_base then begin
-                let contributors =
-                  List.filter
-                    (fun d -> decision_at e (vote_base + d) = Some true)
-                    (List.init e.n (fun d -> d))
-                in
-                if
-                  List.length contributors >= (2 * e.deg) + 1
-                  && List.for_all
-                       (fun d -> session_accepted_at e (share_base + d))
-                       contributors
-                then begin
-                  let lambda =
-                    Shamir.lagrange_at_zero (List.map (fun d -> d + 1) contributors)
-                  in
-                  let share =
-                    List.fold_left
-                      (fun s d ->
-                        let coeff = List.assoc (d + 1) lambda in
-                        match session_share_at e (share_base + d) with
-                        | Some v -> Gf.add s (Gf.mul coeff v)
-                        | None -> s)
-                      Gf.zero contributors
-                  in
-                  st.reduced <- true;
-                  e.gate_shares.(gi) <- Some share;
-                  progressed := true
-                end
-              end
-            end)
-          (mul_gates e));
-
-    (* Output dispatch, stage by stage: stage s output shares go out only
-       once our own stage s-1 value is reconstructed (the mediator's s-th
-       message follows its (s-1)-th). *)
-    Array.iteri
-      (fun si outs ->
-        if
-          (not e.stage_sent.(si))
-          && (si = 0 || Option.is_some e.stage_results.(si - 1))
-          && Array.for_all (fun gi -> Option.is_some e.gate_shares.(gi)) outs
-        then begin
-          e.stage_sent.(si) <- true;
-          let sends =
-            List.filter_map
-              (fun o ->
-                match e.gate_shares.(outs.(o)) with
-                | Some v ->
-                    if o = e.me then begin
-                      if Option.is_none e.output_points.((si * e.n) + e.me) then begin
-                        e.output_points.((si * e.n) + e.me) <- Some v;
-                        e.stage_npoints.(si) <- e.stage_npoints.(si) + 1
-                      end;
-                      None
-                    end
-                    else Some (o, Output_msg (si, v))
-                | None -> None)
-              (List.init e.n (fun o -> o))
-          in
-          step sends
-        end)
-      e.stages;
-
-    (* Stage reconstruction via online error correction. The point arrays
-       are only materialised once enough shares are in for the e = 0
-       attempt to be admissible (r >= 2t+1). *)
-    Array.iteri
-      (fun si r ->
-        match r with
-        | Some _ -> ()
-        | None ->
-            let npts = e.stage_npoints.(si) in
-            if npts >= (2 * e.deg) + 1 then begin
-              let idx = Array.make npts 0 in
-              let ys = Array.make npts Gf.zero in
-              let i = ref 0 in
-              for src = 0 to e.n - 1 do
-                match e.output_points.((si * e.n) + src) with
-                | Some v ->
-                    idx.(!i) <- src + 1;
-                    ys.(!i) <- v;
-                    incr i
-                | None -> ()
-              done;
-              (* Reveals are robust up to the sharing degree: rational
-                 players may corrupt their shares even when the fault budget
-                 is lower, and n >= 3*degree + 1 regimes must absorb that
-                 (Theorem 4.4's cotermination argument). *)
-              match
-                Shamir.online_decode_arrays ~t:e.deg ~max_faults:(max e.deg e.faults) idx ys
-              with
-              | Some v ->
-                  e.stage_results.(si) <- Some v;
-                  if si = Array.length e.stages - 1 then e.result <- Some v;
-                  progressed := true
-              | None -> ()
-            end)
-      e.stage_results
+  (* Output dispatch, stage by stage: stage s output shares go out only
+     once our own stage s-1 value is reconstructed (the mediator's s-th
+     message follows its (s-1)-th). *)
+  for si = 0 to Array.length e.stages - 1 do
+    if
+      (not e.stage_sent.(si))
+      && (si = 0 || Option.is_some e.stage_results.(si - 1))
+      && all_shared e e.stages.(si)
+    then dispatch_stage e si
   done;
-  List.concat (List.rev !chunks)
+
+  for si = 0 to Array.length e.stage_results - 1 do
+    if Option.is_none e.stage_results.(si) then reconstruct_stage e si
+  done
+
+(* Passes until one fires nothing. *)
+let rec settle e =
+  let fired = e.fired in
+  settle_pass e;
+  if e.fired > fired then settle e
+
+(* The result reconstructed during a settle, if any. *)
+let settle_result (e : t) =
+  let before = e.result in
+  settle e;
+  match (before, e.result) with None, Some v -> Some v | _ -> None
 
 let start (e : t) =
-  let sends = ref [] in
   (* Deal our input and randomness contributions. *)
-  let deal sid secret =
-    let r = Avss.deal (session e sid) e.rng ~secret in
-    sends := !sends @ wrap_share sid r.Avss.sends
-  in
+  let deal sid secret = emit_shares e sid (Avss.deal (session e sid) e.rng ~secret).Avss.sends in
   deal (Input_share e.me) e.input;
   for k = 0 to e.circuit.Circuit.n_random - 1 do
     (* Contributions respect the slot's distribution: a mod-m slot sums
@@ -483,10 +511,8 @@ let start (e : t) =
     let v = if m > 0 then Gf.of_int (Random.State.int e.rng m) else Gf.random e.rng in
     deal (Rand_share (e.me, k)) v
   done;
-  let before = e.result in
-  let more = settle e in
-  let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
-  { sends = !sends @ more; result }
+  let result = settle_result e in
+  { sends = take_outbox e; result }
 
 (* Settle on change: [handle] runs [settle] only when the message turned
    an AVSS session accepted, turned an ABA vote decided or stored a new
@@ -499,43 +525,35 @@ let start (e : t) =
    those three leaves every guard false, and a settle pass would fire
    nothing and return []. [start] still settles unconditionally. *)
 let handle (e : t) ~src m =
-  let changed = ref false in
-  let sends =
+  let changed =
     match m with
     | Share_msg (sid, sub) ->
-        if session_index e sid < 0 then []
+        if session_index e sid < 0 then false
         else begin
           let r = Avss.handle (session e sid) ~src sub in
-          changed := Option.is_some r.Avss.accepted;
-          wrap_share sid r.Avss.sends
+          emit_shares e sid r.Avss.sends;
+          Option.is_some r.Avss.accepted
         end
     | Vote_msg (vid, sub) ->
-        if vote_index e vid < 0 then []
+        if vote_index e vid < 0 then false
         else begin
           let r = Aba.handle (vote e vid) ~src sub in
-          changed := Option.is_some r.Aba.decided;
-          wrap_vote vid r.Aba.sends
+          emit_votes e vid r.Aba.sends;
+          Option.is_some r.Aba.decided
         end
     | Output_msg (stage, v) ->
-        if
-          stage >= 0
-          && stage < Array.length e.stages
-          && src >= 0 && src < e.n
-          && Option.is_none e.output_points.((stage * e.n) + src)
-        then begin
-          e.output_points.((stage * e.n) + src) <- Some v;
-          e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1;
-          changed := true
-        end;
-        []
+        stage >= 0
+        && stage < Array.length e.stages
+        && src >= 0 && src < e.n
+        && Option.is_none e.output_points.((stage * e.n) + src)
+        && begin
+             e.output_points.((stage * e.n) + src) <- Some v;
+             e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1;
+             true
+           end
   in
-  if not !changed then { sends; result = None }
-  else begin
-    let before = e.result in
-    let more = settle e in
-    let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
-    { sends = sends @ more; result }
-  end
+  let result = if changed then settle_result e else None in
+  match (e.out, result) with [], None -> nothing | _ -> { sends = take_outbox e; result }
 
 let result (e : t) = e.result
 let stage_results (e : t) = Array.copy e.stage_results

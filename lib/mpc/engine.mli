@@ -1,7 +1,6 @@
 (** Asynchronous secure multiparty computation over an arithmetic circuit —
-    the substrate behind the paper's Theorems 5.4/5.5 (BCG for n > 4t
-    errorless, BKR for n > 3t with ε error), used by the cheap-talk
-    compiler to simulate the mediator.
+    the substrate behind the paper's Theorems 5.4/5.5, used by the
+    cheap-talk compiler to simulate the mediator.
 
     One engine instance is one player's state. Protocol outline:
 
@@ -19,11 +18,22 @@
       (recommendations are private); reconstruction uses online error
       correction, tolerating up to t corrupted shares.
 
-    Fault model: t < n/4 (BCG mode) gives the errorless guarantees used by
-    Theorem 4.1; running at t < n/3 corresponds to BKR/Theorem 4.2 where a
-    Byzantine dealer or unlucky scheduling can cause an ε-probability
-    failure. Active wrong-value resharing at multiplication gates is not
-    verified (that is the companion-paper [10] machinery); see DESIGN.md. *)
+    Fault model: there is one protocol. The same {!Avss} and ABA serve
+    all four theorems; [Cheaptalk.Compile] changes only [degree] (the
+    privacy threshold) and [faults] (the quorum and error-correction
+    bound), and [create] checks n > 3·faults. No mode trades an ε of
+    error for a lower threshold: the ε regimes of Theorems 4.2 and 4.5
+    (the companion paper's Theorem 5.5) are open work, ROADMAP item 2. Active wrong-value resharing at
+    multiplication gates is not verified (that is the companion-paper
+    [10] machinery); see DESIGN.md.
+
+    Work per message: [handle] runs the progress rules only when the
+    message made an AVSS session accept, an ABA vote decide or a new
+    output share arrive, since no other message can enable a rule; then
+    it runs them to a fixpoint, pass after pass until one fires nothing.
+    The skip is exact, so every send, its order and every outcome are
+    what a full evaluation after every message gives (the comment above
+    [handle] in engine.ml has the argument; DESIGN.md §12). *)
 
 type session_id =
   | Input_share of int  (** dealer *)

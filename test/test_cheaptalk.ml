@@ -221,6 +221,15 @@ let coord5 =
 let mm9 =
   lazy (Compile.plan_exn ~spec:(Spec.majority_match ~n:9) ~theorem:Compile.T41 ~k:1 ~t:1 ())
 
+(* E1's chicken row (14 multiplication gates) and a two-stage reveal:
+   the sessions with the most concurrent gates and the staged outputs. *)
+let chicken5 =
+  lazy
+    (Compile.plan_exn ~spec:(Spec.chicken_with_bystanders ~n:5) ~theorem:Compile.T41 ~k:1 ~t:0 ())
+
+let pitfall5 =
+  lazy (Compile.plan_exn ~spec:(Spec.pitfall_naive ~n:5 ~k:1) ~theorem:Compile.T44 ~k:1 ~t:0 ())
+
 let e3_attack p =
   Adversary.Byzantine.corrupt_output_shares ~offset:Field.Gf.one
     (Adversary.Byzantine.corrupt_avss_points ~offset:(Field.Gf.of_int 5) p)
@@ -286,7 +295,14 @@ let test_golden_digests () =
   check "coord5 random seed 1, delay+dup faults" "0beb522163fe3b1319dc743f3dab68da"
     (repr_digest o);
   check "mm9-byz random seed 1, E3 attacker" "febde592062e738df8ea3e8a3a54fd66"
-    (repr_digest (run ~attacker:8 mm9 (Sim.Scheduler.random_seeded 1) 1))
+    (repr_digest (run ~attacker:8 mm9 (Sim.Scheduler.random_seeded 1) 1));
+  check "chicken5 k=1 t=0 random seed 1" "b53482b0e3a572a50a93fd24c57b4139"
+    (repr_digest (run chicken5 (Sim.Scheduler.random_seeded 1) 1));
+  let o = run pitfall5 (Sim.Scheduler.random_seeded 1) 1 in
+  Alcotest.(check bool) "pitfall-naive5: both stages revealed, every player moved" true
+    (Array.for_all Option.is_some o.Sim.Types.moves);
+  check "pitfall-naive5 T44 k=1 t=0 random seed 1" "d072f92ef9919e9db7c0334b1dfbca16"
+    (repr_digest o)
 
 (* --- scheduler history declarations --- *)
 
@@ -365,27 +381,33 @@ let test_laggard_history_without_trace () =
 
 (* --- allocation budget --- *)
 
-(* One coord5 session as [ctmed serve] builds it (the default config:
-   no trace), run through a warm slot. From the second run on its minor
-   word count repeats exactly, so the budget has no noise: a recording
-   default or an event built per delivery for nobody breaks it. *)
+(* A coord5 session as [ctmed serve] builds it (the default config: no
+   trace), and an mm9-byz session with E3's attacker, each run through a
+   warm slot. From the second run on a session's minor word count
+   repeats exactly, so the budget has no noise: a recording default, an
+   event built per delivery for nobody or an outbox copied per reaction
+   breaks it. *)
 let test_alloc_budget () =
-  let slot = Sim.Runner.Slot.create () in
-  let session () =
-    let cfg =
-      session_config (Lazy.force coord5) ~scheduler:(Sim.Scheduler.random_seeded 1) ~seed:1
-    in
-    let before = Gc.minor_words () in
-    let o = Sim.Runner.run ~slot cfg in
-    (o, Gc.minor_words () -. before)
-  in
-  ignore (session ());
-  let o, words = session () in
-  Alcotest.(check bool) "trace off by default" true (o.Sim.Types.trace = []);
-  let per_delivery = words /. float_of_int o.Sim.Types.messages_delivered in
-  if per_delivery > 95.0 then
-    Alcotest.failf "%.0f minor words for %d delivered messages: %.1f per delivery > 95" words
-      o.Sim.Types.messages_delivered per_delivery
+  List.iter
+    (fun (name, plan, attacker) ->
+      let slot = Sim.Runner.Slot.create () in
+      let session () =
+        let cfg =
+          session_config ?attacker (Lazy.force plan) ~scheduler:(Sim.Scheduler.random_seeded 1)
+            ~seed:1
+        in
+        let before = Gc.minor_words () in
+        let o = Sim.Runner.run ~slot cfg in
+        (o, Gc.minor_words () -. before)
+      in
+      ignore (session ());
+      let o, words = session () in
+      Alcotest.(check bool) (name ^ ": trace off by default") true (o.Sim.Types.trace = []);
+      let per_delivery = words /. float_of_int o.Sim.Types.messages_delivered in
+      if per_delivery > 80.0 then
+        Alcotest.failf "%s: %.0f minor words for %d delivered messages: %.1f per delivery > 80"
+          name words o.Sim.Types.messages_delivered per_delivery)
+    [ ("coord5", coord5, None); ("mm9-byz", mm9, Some 8) ]
 
 let () =
   Alcotest.run "cheaptalk"

@@ -158,6 +158,67 @@ let test_avss_equivocating_dealer () =
       done)
     [ 1; 2; 3; 4 ]
 
+(* The corroboration counter against its recount. One instance at
+   n in {4, 5, 7, 9} with a valid degree and fault bound receives every
+   other player's Point and Ready in a random order; up to [faults]
+   sources send points off the row, and the dealer's Row is withheld (so
+   the row is recovered), delivered after every point, or shuffled in.
+   When the instance is the dealer, it deals at a random step instead.
+   After every step the count must equal the recount. *)
+let avss_counter_matches_recount seed =
+  let rng = Random.State.make [| seed; 0xA55 |] in
+  let n = List.nth [ 4; 5; 7; 9 ] (Random.State.int rng 4) in
+  let faults = Random.State.int rng (((n - 1) / 3) + 1) in
+  let degree = 1 + Random.State.int rng (n - (2 * faults) - 1) in
+  let me = Random.State.int rng n and dealer = Random.State.int rng n in
+  let at i = Gf.of_int (i + 1) in
+  let b = Field.Bipoly.random_symmetric rng ~degree ~secret:(Gf.of_int 7) in
+  let liars = ref (Random.State.int rng (faults + 1)) in
+  let msgs = ref [] in
+  for j = 0 to n - 1 do
+    if j <> me then begin
+      let p = Field.Poly.eval (Field.Bipoly.row b (at j)) (at me) in
+      let p =
+        if !liars > 0 && Random.State.bool rng then begin
+          decr liars;
+          Gf.add p (Gf.of_int (1 + Random.State.int rng 1000))
+        end
+        else p
+      in
+      msgs := (j, Avss.Point p) :: (j, Avss.Ready) :: !msgs
+    end
+  done;
+  let shuffle l =
+    List.map snd
+      (List.sort
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (List.map (fun m -> (Random.State.bits rng, m)) l))
+  in
+  let row = (dealer, Avss.Row (Field.Bipoly.row b (at me))) in
+  let order =
+    if dealer = me then shuffle !msgs
+    else
+      match Random.State.int rng 3 with
+      | 0 -> shuffle !msgs (* withheld *)
+      | 1 -> shuffle !msgs @ [ row ]
+      | _ -> shuffle (row :: !msgs)
+  in
+  let s = Avss.create ~n ~degree ~faults ~me ~dealer in
+  let agrees () = Avss.corroboration s = Avss.Ref.matching_points s in
+  let deal_at = if dealer = me then Random.State.int rng (List.length order + 1) else -1 in
+  let step i (src, m) =
+    if i = deal_at then ignore (Avss.deal s rng ~secret:Gf.one);
+    ignore (Avss.handle s ~src m);
+    agrees ()
+  in
+  let ok = List.for_all Fun.id (List.mapi step order) in
+  if deal_at = List.length order then ignore (Avss.deal s rng ~secret:Gf.one);
+  ok && agrees ()
+
+let prop_avss_counter_matches_recount =
+  QCheck.Test.make ~name:"corroboration count = recount (random arrivals)" ~count:300
+    QCheck.pos_int avss_counter_matches_recount
+
 (* --- full engine --- *)
 
 let engine_proc ~n ~t ~me ~circuit ~input ~coin_seed ~results =
@@ -469,6 +530,7 @@ let () =
           Alcotest.test_case "crashed dealer" `Quick test_avss_crashed_dealer;
           Alcotest.test_case "row recovery" `Quick test_avss_crash_after_deal;
           Alcotest.test_case "equivocating dealer" `Quick test_avss_equivocating_dealer;
+          QCheck_alcotest.to_alcotest ~long:false prop_avss_counter_matches_recount;
         ] );
       ( "engine",
         [
