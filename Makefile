@@ -24,8 +24,11 @@ par-check:
 # timing in lib/, bin/ and bench/ on the monotonic clock (no
 # Unix.gettimeofday: a clock step would corrupt a measured duration, a
 # watchdog or a perf-gate number), run the analyzers
-# over the bundled examples (non-zero exit on error findings), and the
-# analysis test suite (race detector vs Sim.Explore ground truth).
+# over the bundled examples (non-zero exit on error findings), require
+# the seeded bugs to be caught (--seeded-bug must exit 1 with both the
+# order-bug confluence violation and the quorum-n3 validity violation
+# reported as errors), and the analysis test suite (the model checker's
+# lint-target verdicts vs Sim.Explore ground truth).
 lint:
 	dune build @check
 	scripts/poly_compare_check.sh
@@ -42,6 +45,17 @@ lint:
 	  exit 1; \
 	fi
 	dune exec bin/ctmed.exe -- lint
+	@out=$$(dune exec bin/ctmed.exe -- lint --seeded-bug 2>&1); \
+	  st=$$?; \
+	  if [ $$st -ne 1 ]; then \
+	    echo "lint: --seeded-bug should exit 1, got $$st" >&2; exit 1; \
+	  fi; \
+	  for f in 'order-bug (seeded)' 'quorum-n3 (seeded)'; do \
+	    if ! printf '%s\n' "$$out" | grep -qF "error [model-check] $$f:"; then \
+	      echo "lint: --seeded-bug did not report $$f as an error" >&2; exit 1; \
+	    fi; \
+	  done; \
+	  echo "lint: --seeded-bug exited 1 with order-bug (seeded) and quorum-n3 (seeded) as errors, as required"
 	dune exec test/test_analysis.exe -- -c
 
 # Chaos suite (DESIGN.md section 11): fault-injection sweep at the smoke

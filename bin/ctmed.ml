@@ -410,8 +410,8 @@ let lemma68_cmd =
 let lint_cmd =
   let doc =
     "Run the analysis layer over the bundled examples: circuit linter, threshold validator, \
-     effect-discipline linter (instrumented runs) and the happens-before race detector. Exits \
-     non-zero when any error-severity finding is reported."
+     effect-discipline linter (instrumented runs) and the DPOR model checker over the schedule \
+     targets. Exits non-zero when any error-severity finding is reported."
   in
   let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"also print warnings") in
   let seeded_bug_arg =
@@ -551,42 +551,21 @@ let lint_cmd =
     in
     section "effects" effect_findings;
 
-    (* 4. race detector over the small protocols where Explore can verify
-       its verdicts (see test/test_analysis.ml), plus the mediator game *)
-    let race_over name make =
-      List.map
-        (fun f -> { f with F.subject = name ^ ": " ^ f.F.subject })
-        (Analysis.Race.findings (Analysis.Race.analyze ~make ()))
-    in
-    let race_targets =
-      [
-        ("ping-pong", Analysis.Fixtures.ping_pong);
-        ("threshold-sum", Analysis.Fixtures.threshold_sum);
-        ("byzantine-echo", Analysis.Fixtures.byzantine_echo);
-      ]
-      @ if seeded_bug then [ ("order-bug (seeded)", Analysis.Fixtures.order_bug) ] else []
-    in
-    let race_findings =
-      List.concat_map (fun (name, make) -> race_over name make) race_targets
-      @ race_over "mediator-game" (fun () ->
-            let spec = Mediator.Spec.coordination ~n:3 in
-            Mediator.Protocol.game_processes ~spec ~types:[| 0; 0; 0 |] ~rounds:1 ~wait_for:3
-              ~rng:(Random.State.make [| 42 |])
-              ())
-    in
-    section "races" race_findings;
-
-    (* 5. model checker: exhaustive DPOR verdicts over the small fixtures
-       (the violating catalog entries stay behind --seeded-bug, mirroring
-       the race section) *)
-    let mc_over name ?properties ?relaxed make =
+    (* 4. model checker: exhaustive DPOR verdicts over the small fixtures.
+       The schedule targets must be outcome-confluent under every
+       schedule; the violating fixtures stay behind --seeded-bug. *)
+    let mc_over name ?properties ?require_confluence ?relaxed make =
       List.map
         (fun f -> { f with F.subject = name ^ ": " ^ f.F.subject })
         (Analysis.Mc.findings ~subject:"verdict"
-           (Analysis.Mc.check ?properties (Analysis.Mc.system ?relaxed make)))
+           (Analysis.Mc.check ?properties ?require_confluence
+              (Analysis.Mc.system ?relaxed make)))
     in
     let mc_findings =
-      mc_over "ping-pong" Analysis.Fixtures.ping_pong
+      mc_over "ping-pong" ~require_confluence:true Analysis.Fixtures.ping_pong
+      @ mc_over "threshold-sum" ~require_confluence:true Analysis.Fixtures.threshold_sum
+      @ mc_over "byzantine-echo" ~require_confluence:true Analysis.Fixtures.byzantine_echo
+      @ mc_over "mediator-game" ~require_confluence:true Analysis.Fixtures.mediator_game
       @ mc_over "quorum-n4"
           ~properties:[ Analysis.Fixtures.quorum_validity ]
           (Analysis.Fixtures.quorum_vote ~n:4 ~zeros:1)
@@ -595,9 +574,10 @@ let lint_cmd =
       @ mc_over "pairs" (Analysis.Fixtures.pairs ~m:3)
       @
       if seeded_bug then
-        mc_over "quorum-n3 (seeded)"
-          ~properties:[ Analysis.Fixtures.quorum_validity ]
-          (Analysis.Fixtures.quorum_vote ~n:3 ~zeros:2)
+        mc_over "order-bug (seeded)" ~require_confluence:true Analysis.Fixtures.order_bug
+        @ mc_over "quorum-n3 (seeded)"
+            ~properties:[ Analysis.Fixtures.quorum_validity ]
+            (Analysis.Fixtures.quorum_vote ~n:3 ~zeros:2)
       else []
     in
     section "model-check" mc_findings;

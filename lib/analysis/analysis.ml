@@ -1,12 +1,9 @@
-(** Protocol analysis layer: static analysis and race detection over
+(** Protocol analysis layer: static analysis and schedule checking over
     protocols, runs and circuits.
 
     Four analyzers (see each module's documentation for the exact checks
     and their soundness/completeness caveats):
 
-    - {!Race} — schedule-race detection over simulator runs: swap replay
-      of the candidate pairs {!Mc}'s happens-before relation finds,
-      checked against {!Sim.Explore} ground truth on small instances;
     - {!Effect_lint} — effect-discipline linting of traces and process
       wrappers (duplicate moves, sends after halt, non-monotone seq, ...);
     - {!Circuit_lint} — static circuit and staged-reveal linting;
@@ -14,8 +11,10 @@
       parameter validator shared with {!Cheaptalk.Compile};
     - {!Mc} — the stateful model checker: dynamic partial-order reduction
       with sleep sets over {!Sim.Runner.Step}, state fingerprinting,
-      deadlock/starvation verdicts and minimized counterexample traces,
-      with {!Sim.Explore} as its naive reference backend.
+      outcome-confluence, deadlock/starvation verdicts and minimized
+      counterexample traces, with {!Sim.Explore} as its naive reference
+      backend. It is the one schedule analyzer: `ctmed lint` checks its
+      schedule targets (the {!Fixtures}) with it.
 
     Everything reports through {!Finding}. The CLI front end is
     `ctmed lint`; {!check_run} is the per-run hook the experiment harness
@@ -25,7 +24,6 @@ module Finding = Finding
 module Thresholds = Thresholds
 module Circuit_lint = Circuit_lint
 module Effect_lint = Effect_lint
-module Race = Race
 module Mc = Mc
 module Fixtures = Fixtures
 

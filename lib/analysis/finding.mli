@@ -1,6 +1,6 @@
 (** Findings reported by the protocol analyzers.
 
-    Every analyzer (race detector, effect-discipline linter, circuit
+    Every analyzer (model checker, effect-discipline linter, circuit
     linter, threshold validator) reports through this one type so the CLI,
     the test suite and the experiment-harness hook can aggregate, filter
     and print them uniformly. [Error] findings are invariant breaches the
@@ -11,7 +11,7 @@
 type severity = Error | Warning
 
 type t = {
-  analyzer : string;  (** "race" | "effects" | "circuit" | "thresholds" *)
+  analyzer : string;  (** "model-check" | "effects" | "circuit" | "thresholds" *)
   severity : severity;
   subject : string;  (** what the finding is about, e.g. "player 3", "gate g7" *)
   detail : string;

@@ -68,6 +68,12 @@ let byzantine_echo () =
   in
   [| honest 1; honest 0; byzantine |]
 
+let mediator_game () =
+  let spec = Mediator.Spec.coordination ~n:3 in
+  Mediator.Protocol.game_processes ~spec ~types:[| 0; 0; 0 |] ~rounds:1 ~wait_for:3
+    ~rng:(Random.State.make [| 42 |])
+    ()
+
 (* ------------------------------------------------------------------ *)
 (* Model-checker fixtures (see Mc). *)
 

@@ -1,8 +1,8 @@
 (** Small demo protocols for the analyzers: each is a [make] function in
     the {!Sim.Explore} sense (fresh processes on every call), small enough
-    for exhaustive interleaving so the race detector's verdicts can be
-    cross-validated against ground truth. Used by `ctmed lint` and the
-    analysis test suite. *)
+    for exhaustive interleaving, so {!Mc}'s DPOR verdicts can be
+    cross-validated against {!Sim.Explore}'s ground truth. Used by
+    `ctmed lint`, `ctmed check` and the analysis test suites. *)
 
 val ping_pong : unit -> (int, int) Sim.Types.process array
 (** Two players, one message each way, both move — confluent. *)
@@ -15,15 +15,21 @@ val threshold_sum : unit -> (int, int) Sim.Types.process array
 
 val order_bug : unit -> (int, int) Sim.Types.process array
 (** The deliberate schedule-sensitivity bug: a judge moves the {e first}
-    value it receives, so the scheduler picks the outcome. The race
-    detector must report an outcome race here and {!Sim.Explore} must
-    find non-confluent moves — the seeded-bug fixture of `ctmed lint
-    --seeded-bug`. *)
+    value it receives, so the scheduler picks the outcome. {!Mc} with
+    [~require_confluence:true] must report a confluence violation here
+    and {!Sim.Explore} must find non-confluent moves — the seeded-bug
+    fixture of `ctmed lint --seeded-bug`. *)
 
 val byzantine_echo : unit -> (int, int) Sim.Types.process array
 (** Two honest players exchange their value and move on the honest
     peer's message; player 2 is Byzantine and sends a different lie to
     each. Honest moves are confluent despite the faulty traffic. *)
+
+val mediator_game : unit -> (Mediator.Protocol.msg, int) Sim.Types.process array
+(** The mediated play itself: coordination with three players of type 0,
+    one round, the mediator σd at index 3 waiting for all three players,
+    its randomness seeded with 42. The outcome must not depend on the
+    order the player messages reach the mediator. *)
 
 val quorum_vote : n:int -> zeros:int -> unit -> (int, int) Sim.Types.process array
 (** One-shot majority vote, players 0..n-2 honest (vote 1, broadcast),

@@ -104,7 +104,7 @@ let bs_union a b =
    Two deliveries i < j to the same destination are a RACE when
    i ∉ sendpast(j): j's message already existed when i was delivered, so
    their order was the environment's free choice — DPOR's backtrack
-   points and {!Race}'s swap candidates. *)
+   points. *)
 
 let hb_of ~(events : entry array) ~(sp : int array) =
   let l = Array.length events in
@@ -169,9 +169,8 @@ let races_of ~events ~sp ~cap =
    histories and [races_of_outcome]). Each [Sent] is attributed to the
    delivery whose activation emitted it; a [Started] directly after a
    delivery with nothing emitted yet is the implicit start the runner
-   performs before a first receive (same disambiguation as
-   [Race.slots_of_trace]) and keeps the attribution; explicit start
-   activations attribute their sends to -1. *)
+   performs before a first receive and keeps the attribution; explicit
+   start activations attribute their sends to -1. *)
 let events_of_trace trace =
   let sent_by : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let events = ref [] in
@@ -206,21 +205,12 @@ let events_of_trace trace =
     trace;
   (Array.of_list (List.rev !events), Array.of_list (List.rev !sp))
 
-(* Destination descending, then the first delivery's index, then the
-   second's: the order {!Race.analyze} replays in, so its
-   [max_candidates] cap and its findings follow it. *)
 let races_of_outcome (o : 'a Types.outcome) =
   let events, sp =
     events_of_trace (Runner.recorded_trace ~who:"Mc.races_of_outcome" o)
   in
   let races, _capped = races_of ~events ~sp ~cap:max_int in
-  let keyed = List.map (fun (i, j, _u) -> (events.(i).dst, i, j)) races in
-  let cmp (d1, i1, j1) (d2, i2, j2) =
-    if d1 <> d2 then Int.compare d2 d1
-    else if i1 <> i2 then Int.compare i1 i2
-    else Int.compare j1 j2
-  in
-  List.map (fun (d, i, j) -> (d, events.(i), events.(j))) (List.sort cmp keyed)
+  List.map (fun (i, j, _u) -> (events.(i).dst, events.(i), events.(j))) races
 
 (* ------------------------------------------------------------------ *)
 (* One execution of the system under the checker's control.

@@ -4,17 +4,16 @@
     partial-order reduction (DPOR): two deliveries commute whenever they
     target different destination processes — a process is a deterministic
     function of its local delivery sequence, so swapping deliveries to
-    different processes yields the same behaviour (the same independence
-    fact {!Race} exploits, and the reason [Faults.Plan] may treat
-    deliveries as order-independent). The checker explores one canonical
-    interleaving per Mazurkiewicz class, computes the happens-before
-    relation of each executed trace (send-ancestry + per-destination
-    program order), and for every {e race} — an adjacent-swappable
-    dependent pair — schedules a backtrack branch; sleep sets prevent
-    re-exploring classes already covered. Start signals are delivered
+    different processes yields the same behaviour (the reason
+    [Faults.Plan] may treat deliveries as order-independent). The
+    checker explores one canonical interleaving per Mazurkiewicz class,
+    computes the happens-before relation of each executed trace
+    (send-ancestry + per-destination program order), and for every
+    {e race} — an adjacent-swappable dependent pair — schedules a
+    backtrack branch; sleep sets prevent re-exploring classes already
+    covered. Start signals are delivered
     eagerly (the runner activates start before the first receive
-    regardless of schedule, so this is behaviour-preserving — the same
-    normalisation {!Race.analyze}'s recorder uses).
+    regardless of schedule, so this is behaviour-preserving).
 
     Exploration runs as parallel frontier rounds over [Parallel.Pool]:
     each round replays the queued branch points concurrently, and the
@@ -178,11 +177,8 @@ val races_of_outcome : 'a Sim.Types.outcome -> (int * entry * entry) list
     first, second)], computed from the checker's happens-before relation
     (send-ancestry closure, two E²-bit relations over E deliveries): the
     later message's send does not causally depend on the earlier
-    delivery, so their order was the scheduler's free choice. Sorted by
-    destination descending, then by the first delivery's position in the
-    run, then by the second's. {!Race.analyze} takes its swap candidates
-    from here in this order, so DPOR and the race detector share one
-    relation.
+    delivery, so their order was the scheduler's free choice: the races
+    DPOR backtracks on.
     @raise Invalid_argument on a run whose config did not record
     ([Sim.Runner.recorded_trace]). *)
 

@@ -12,8 +12,8 @@
     Lemma 6.8's pattern alphabet — never on delivery order, wall-clock
     or domain count. Two runs over the same seeds therefore inject the
     same faults at any [-j], and every injected fault is counted in
-    [Obs.Metrics] and emitted into the trace, keeping the race detector
-    and the effect linter sound.
+    [Obs.Metrics] and emitted into the trace, keeping the trace's
+    readers (the effect linter, the charts) sound.
 
     Which faults sit inside the paper's assumptions and which violate
     them is catalogued in DESIGN.md §11 ("Fault model"): [Delay] and

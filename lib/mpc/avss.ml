@@ -129,6 +129,10 @@ let send_ready s tail =
 let try_recover_row s =
   match s.row with
   | Some _ -> None
+  | None when s.n_points < s.deg + s.faults + 1 ->
+      (* too few points to decode even error-free: [try_e 0]'s bound,
+         tested before anything is allocated *)
+      None
   | None ->
       (* Collect received cross points in pid order (the decoded row is
          the unique certified polynomial, so point order cannot change

@@ -779,8 +779,7 @@ module Step = struct
     (* Deliver the environment's start signals eagerly, in pid order. The
        runner activates a process's start before its first receive
        regardless of schedule, so this normalisation is behaviour-
-       preserving (same argument as the race detector's recorder) and
-       leaves every pending item a real message. *)
+       preserving and leaves every pending item a real message. *)
     let rec next () =
       match Pending_set.find c.pending (fun v -> v.src = env_pid) with
       | Some v ->

@@ -57,9 +57,9 @@ type ('m, 'a) config = {
           [trace] is [[]] and no event is built. Sessions that nothing
           reads the trace of run so: [ctmed serve], [Engine.Toy],
           Verify's trials (unless linted) and the experiments. Each
-          reader opts in with [~record:true]: [Explore]'s runs,
-          [Analysis.Race], Verify under [check_runs], [ctmed run
-          --journal] and [ctmed replay], [ctmed trace] and [ctmed lint].
+          reader opts in with [~record:true]: [Explore]'s runs, Verify
+          under [check_runs], [ctmed run --journal] and [ctmed replay],
+          [ctmed trace] and [ctmed lint].
           [Step] always records. The readers — {!message_pattern},
           [Trace_pp.chart]/[stats], [Analysis.check_run],
           [Analysis.Mc.races_of_outcome] and

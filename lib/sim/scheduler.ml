@@ -72,24 +72,6 @@ let delay_pair ~a ~b rng =
   in
   avoid ~name:(Printf.sprintf "delay[%d<->%d]" a b) between rng
 
-let prioritise ~players rng =
-  {
-    name =
-      Printf.sprintf "prioritise[%s]" (String.concat "," (List.map string_of_int players));
-    relaxed = false;
-    history = false;
-    reset = ignore;
-    choose =
-      (fun ~step:_ ~history:_ ~pending ->
-        let favoured (v : Types.pending_view) = List.mem v.Types.src players in
-        match Pending_set.choose_where pending favoured ~rng with
-        | Some v -> deliver v
-        | None -> (
-            match Pending_set.choose_where pending (fun _ -> true) ~rng with
-            | Some v -> deliver v
-            | None -> deliver (Pending_set.oldest pending)));
-  }
-
 let round_robin () =
   let next_dst = ref 0 in
   {

@@ -75,10 +75,6 @@ val adaptive_laggard : Random.State.t -> t
     sent the most messages so far — "slow down the leader". Decides from
     the pattern history alone. *)
 
-val prioritise : players:int list -> Random.State.t -> t
-(** Delivers messages sent by the listed players before anything else —
-    the scheduler arm of a colluding adversary (Section 6.1). *)
-
 val round_robin : unit -> t
 (** Cycles over destination processes, delivering the oldest message for
     each in turn. *)

@@ -1,11 +1,12 @@
-(* Tests for the analysis layer (lib/analysis): the race detector is
-   cross-validated against Sim.Explore's exhaustive ground truth, the
-   effect/circuit linters against hand-built violations and qcheck
-   mutants, and the threshold validator against Compile.plan. *)
+(* Tests for the analysis layer (lib/analysis): the model checker's
+   verdicts on ctmed lint's schedule targets are cross-validated against
+   Sim.Explore's exhaustive ground truth, the effect/circuit linters
+   against hand-built violations and qcheck mutants, and the threshold
+   validator against Compile.plan. *)
 
 module Gf = Field.Gf
 module F = Analysis.Finding
-module Race = Analysis.Race
+module Mc = Analysis.Mc
 module EL = Analysis.Effect_lint
 module CL = Analysis.Circuit_lint
 module Th = Analysis.Thresholds
@@ -22,80 +23,38 @@ let contains ~needle hay =
   nl = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Race detector vs Sim.Explore ground truth (the ISSUE's acceptance
-   criterion: no false negatives on the seeded bug, no false positives
-   on the confluent protocols). *)
+(* ctmed lint's schedule targets under DPOR, against Sim.Explore's
+   ground truth: no false negative on the seeded bug, no false positive
+   on the confluent protocols. Each target's (classes, runs) is pinned;
+   the search must be exhaustive, its verdict must equal Explore's
+   confluence on the same make, and Mc.findings must hold an error
+   exactly when the target is not confluent. *)
 
 let explore_confluent make =
   let r = Sim.Explore.explore ~make () in
   Alcotest.(check bool) "exploration exhaustive" true r.Sim.Explore.exhaustive;
   Sim.Explore.all_outcomes_agree (fun o -> o.moves) r
 
-(* The report's numbers, pinned per fixture: runs, candidates, replays,
-   races, outcome races. No fixture skips a candidate or diverges on a
-   replay. *)
-let check_report name (runs, candidates, replays, races, outcome_races) (r : Race.report) =
-  let outcome = List.filter (fun x -> x.Race.verdict = Race.Outcome_race) r.Race.races in
-  Alcotest.(check (list int))
-    (name ^ ": runs, candidates, replays, races, outcome races, skipped, diverged")
-    [ runs; candidates; replays; races; outcome_races; 0; 0 ]
-    [
-      r.Race.runs;
-      r.Race.candidates;
-      r.Race.replays;
-      List.length r.Race.races;
-      List.length outcome;
-      r.Race.candidates_skipped;
-      r.Race.diverged_replays;
-    ]
-
-let check_agreement name pins make =
-  let ground = explore_confluent make in
-  let report = Race.analyze ~make () in
-  check_report name pins report;
+let check_lint_target name (classes, runs) make =
+  let v = Mc.check ~require_confluence:true (Mc.system make) in
+  Alcotest.(check (pair int int))
+    (name ^ ": classes, runs")
+    (classes, runs)
+    (List.length v.Mc.classes, v.Mc.stats.Mc.runs);
+  Alcotest.(check bool) (name ^ ": exhaustive") true v.Mc.exhaustive;
+  let confluent = explore_confluent make in
+  Alcotest.(check bool) (name ^ ": pass = Explore's confluence") confluent v.Mc.pass;
   Alcotest.(check bool)
-    (name ^ ": detector verdict matches Explore")
-    ground
-    (not (Race.has_outcome_race report))
+    (name ^ ": an error finding iff not confluent")
+    (not confluent)
+    (F.errors (Mc.findings ~subject:name v) <> [])
 
-let test_race_ping_pong () =
-  Alcotest.(check bool) "ping-pong is confluent" true (explore_confluent Fx.ping_pong);
-  check_agreement "ping-pong" (6, 0, 0, 0, 0) Fx.ping_pong
-
-let test_race_threshold_sum () =
-  Alcotest.(check bool) "threshold-sum is outcome-confluent" true
-    (explore_confluent Fx.threshold_sum);
-  check_agreement "threshold-sum" (6, 2, 2, 2, 0) Fx.threshold_sum;
-  (* the benign quorum race is visible at effect level *)
-  let r = Race.analyze ~make:Fx.threshold_sum () in
-  Alcotest.(check bool) "effect race surfaced" true
-    (List.exists (fun x -> x.Race.verdict = Race.Effect_race) r.Race.races);
-  Alcotest.(check bool) "effect races are warnings, not errors" true
-    (F.errors (Race.findings r) = [])
-
-let test_race_order_bug () =
-  Alcotest.(check bool) "order-bug is NOT confluent" false (explore_confluent Fx.order_bug);
-  check_agreement "order-bug" (6, 2, 2, 2, 2) Fx.order_bug;
-  let r = Race.analyze ~make:Fx.order_bug () in
-  Alcotest.(check bool) "outcome race reported" true (Race.has_outcome_race r);
-  Alcotest.(check bool) "outcome races are errors" true (F.errors (Race.findings r) <> [])
-
-let test_race_byzantine_echo () =
-  Alcotest.(check bool) "byzantine-echo is confluent" true (explore_confluent Fx.byzantine_echo);
-  check_agreement "byzantine-echo" (6, 4, 4, 0, 0) Fx.byzantine_echo
-
-let test_race_mediator_game () =
-  (* The mediated play itself (players + mediator process): outcome must
-     not depend on the order player messages reach the mediator. *)
-  let spec = Spec.coordination ~n:3 in
-  let make () =
-    Mediator.Protocol.game_processes ~spec ~types:[| 0; 0; 0 |] ~rounds:1 ~wait_for:3
-      ~rng:(Random.State.make [| 42 |]) ()
-  in
-  let r = Race.analyze ~make () in
-  check_report "mediator game" (6, 6, 6, 4, 0) r;
-  Alcotest.(check bool) "mediator game has no outcome race" false (Race.has_outcome_race r);
-  Alcotest.(check bool) "detector actually replayed swaps" true (r.Race.replays > 0)
+let test_lint_targets () =
+  check_lint_target "ping-pong" (1, 1) Fx.ping_pong;
+  check_lint_target "threshold-sum" (1, 2) Fx.threshold_sum;
+  check_lint_target "byzantine-echo" (1, 4) Fx.byzantine_echo;
+  check_lint_target "order-bug (seeded)" (2, 2) Fx.order_bug;
+  check_lint_target "mediator game" (1, 6) Fx.mediator_game
 
 (* ------------------------------------------------------------------ *)
 (* Effect-discipline linter *)
@@ -171,7 +130,7 @@ let test_readers_refuse_unrecorded () =
   refuses "Trace_pp.stats" (fun o -> ignore (Sim.Trace_pp.stats o));
   refuses "Runner.message_pattern" (fun o -> ignore (Sim.Runner.message_pattern o));
   refuses "Analysis.check_run" (fun o -> ignore (Analysis.check_run o));
-  refuses "Mc.races_of_outcome" (fun o -> ignore (Analysis.Mc.races_of_outcome o));
+  refuses "Mc.races_of_outcome" (fun o -> ignore (Mc.races_of_outcome o));
   refuses "Differential.outcome_repr" (fun o ->
       ignore (Transport.Differential.outcome_repr ~show:string_of_int o))
 
@@ -420,14 +379,8 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 let () =
   Alcotest.run "analysis"
     [
-      ( "race-vs-explore",
-        [
-          Alcotest.test_case "ping-pong (confluent)" `Quick test_race_ping_pong;
-          Alcotest.test_case "threshold-sum (benign effect race)" `Quick test_race_threshold_sum;
-          Alcotest.test_case "order-bug (seeded outcome race)" `Quick test_race_order_bug;
-          Alcotest.test_case "byzantine-echo (confluent)" `Quick test_race_byzantine_echo;
-          Alcotest.test_case "mediator game" `Quick test_race_mediator_game;
-        ] );
+      ( "dpor-vs-explore",
+        [ Alcotest.test_case "lint targets: dpor verdicts" `Quick test_lint_targets ] );
       ( "effects",
         [
           Alcotest.test_case "wrapper violations" `Quick test_effect_wrap_violations;

@@ -29,19 +29,22 @@ let naive ?properties ?relaxed ?max_states make =
   Mc.check ~backend:Mc.Naive ?properties ?max_states (Mc.system ?relaxed make)
 
 (* ------------------------------------------------------------------ *)
-(* DPOR vs naive on the existing demo fixtures. *)
+(* DPOR vs naive on the existing demo fixtures, ctmed lint's schedule
+   targets among them. *)
 
 let test_dpor_vs_naive_fixtures () =
+  let agree name make =
+    let d = dpor make and n = naive make in
+    check_same_classes name d n;
+    Alcotest.(check bool) (name ^ ": dpor exhaustive") true d.Mc.exhaustive;
+    Alcotest.(check bool) (name ^ ": naive exhaustive") true n.Mc.exhaustive;
+    Alcotest.(check bool)
+      (name ^ ": dpor explores no more runs than naive histories")
+      true
+      (d.Mc.stats.Mc.runs <= n.Mc.stats.Mc.runs)
+  in
   List.iter
-    (fun (name, make) ->
-      let d = dpor make and n = naive make in
-      check_same_classes name d n;
-      Alcotest.(check bool) (name ^ ": dpor exhaustive") true d.Mc.exhaustive;
-      Alcotest.(check bool) (name ^ ": naive exhaustive") true n.Mc.exhaustive;
-      Alcotest.(check bool)
-        (name ^ ": dpor explores no more runs than naive histories")
-        true
-        (d.Mc.stats.Mc.runs <= n.Mc.stats.Mc.runs))
+    (fun (name, make) -> agree name make)
     [
       ("ping_pong", Fx.ping_pong);
       ("threshold_sum", Fx.threshold_sum);
@@ -49,7 +52,9 @@ let test_dpor_vs_naive_fixtures () =
       ("byzantine_echo", Fx.byzantine_echo);
       ("quorum3z1", Fx.quorum_vote ~n:3 ~zeros:1);
       ("pairs2", Fx.pairs ~m:2);
-    ]
+    ];
+  (* its messages are the mediator protocol's, not ints *)
+  agree "mediator_game" Fx.mediator_game
 
 let test_confluence_verdicts () =
   let d = dpor Fx.ping_pong in
@@ -157,12 +162,11 @@ let test_quorum_violation_minimized () =
 (* ------------------------------------------------------------------ *)
 (* Races against ground truth. Two deliveries a, b to one process in a
    history h are a race of the checker's happens-before relation (DPOR's
-   backtrack points, the race detector's swap candidates) exactly when
-   some explored history h' delivers b without a before it, every process
-   having received before b in h' a prefix of what it received in h: h'
-   reaches b by the same local steps as h, skipping a. Histories count
-   only when every process starts before the first delivery, as DPOR and
-   the race detector's recorder schedule them. *)
+   backtrack points) exactly when some explored history h' delivers b
+   without a before it, every process having received before b in h' a
+   prefix of what it received in h: h' reaches b by the same local steps
+   as h, skipping a. Histories count only when every process starts
+   before the first delivery, as DPOR schedules them. *)
 
 (* p0 sends 1 and 2 to p2 at start; p2 answers the 1 with a message to
    p1, which p1 relays to p2. p2 always receives the relay after the 1 (no

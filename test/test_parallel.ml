@@ -349,11 +349,14 @@ let test_seeded_bug_caught_in_worker_domain () =
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e))
 
 let test_race_fixture_caught_in_worker_domain () =
-  (* ctmed lint's --seeded-bug fixture, analyzed inside a worker domain *)
+  (* ctmed lint's --seeded-bug order fixture, model-checked inside a
+     worker domain *)
+  let module Mc = Analysis.Mc in
   let findings =
     Pool.with_pool ~domains:2 (fun pool ->
         Pool.map_seeded ~pool ~seeds:(0, 2) (fun _ ->
-            Analysis.Race.findings (Analysis.Race.analyze ~make:Analysis.Fixtures.order_bug ())))
+            Mc.findings ~subject:"order-bug"
+              (Mc.check ~require_confluence:true (Mc.system Analysis.Fixtures.order_bug))))
   in
   Array.iter
     (fun fs ->
