@@ -23,12 +23,12 @@ let contains ~needle hay =
   nl = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* ctmed lint's schedule targets under DPOR, against Sim.Explore's
-   ground truth: no false negative on the seeded bug, no false positive
-   on the confluent protocols. Each target's (classes, runs) is pinned;
-   the search must be exhaustive, its verdict must equal Explore's
-   confluence on the same make, and Mc.findings must hold an error
-   exactly when the target is not confluent. *)
+(* ctmed lint's schedule targets: their schedule races under DPOR,
+   against Sim.Explore's ground truth. No false negative on the seeded
+   bug, no false positive on the confluent protocols. Each target's
+   (classes, runs) is pinned; the search must be exhaustive, its verdict
+   must equal Explore's confluence on the same make, and Mc.findings
+   must hold an error exactly when the target is not confluent. *)
 
 let explore_confluent make =
   let r = Sim.Explore.explore ~make () in
@@ -47,14 +47,44 @@ let check_lint_target name (classes, runs) make =
   Alcotest.(check bool)
     (name ^ ": an error finding iff not confluent")
     (not confluent)
-    (F.errors (Mc.findings ~subject:name v) <> [])
+    (F.errors (Mc.findings ~subject:name v) <> []);
+  (v, confluent)
 
-let test_lint_targets () =
-  check_lint_target "ping-pong" (1, 1) Fx.ping_pong;
-  check_lint_target "threshold-sum" (1, 2) Fx.threshold_sum;
-  check_lint_target "byzantine-echo" (1, 4) Fx.byzantine_echo;
-  check_lint_target "order-bug (seeded)" (2, 2) Fx.order_bug;
-  check_lint_target "mediator game" (1, 6) Fx.mediator_game
+(* A race DPOR reverses is benign when its runs land in one class. *)
+let check_benign_races name (v : _ Mc.verdict) =
+  Alcotest.(check bool)
+    (name ^ ": races explored, none changes the outcome")
+    true
+    (v.Mc.stats.Mc.runs > List.length v.Mc.classes && v.Mc.pass)
+
+let test_race_ping_pong () =
+  let _, confluent = check_lint_target "ping-pong" (1, 1) Fx.ping_pong in
+  Alcotest.(check bool) "ping-pong is confluent" true confluent
+
+let test_race_threshold_sum () =
+  let v, confluent = check_lint_target "threshold-sum" (1, 2) Fx.threshold_sum in
+  Alcotest.(check bool) "threshold-sum is outcome-confluent" true confluent;
+  (* the quorum race: both orders are explored and agree on the moves *)
+  check_benign_races "threshold-sum" v
+
+let test_race_order_bug () =
+  let v, confluent = check_lint_target "order-bug (seeded)" (2, 2) Fx.order_bug in
+  Alcotest.(check bool) "order-bug is NOT confluent" false confluent;
+  match v.Mc.violation with
+  | Some ce -> Alcotest.(check string) "violated property" "confluence" ce.Mc.ce_property
+  | None -> Alcotest.fail "order-bug: no counterexample"
+
+let test_race_byzantine_echo () =
+  let v, confluent = check_lint_target "byzantine-echo" (1, 4) Fx.byzantine_echo in
+  Alcotest.(check bool) "byzantine-echo is confluent" true confluent;
+  check_benign_races "byzantine-echo" v
+
+let test_race_mediator_game () =
+  (* The mediated play itself (players + mediator process): outcome must
+     not depend on the order player messages reach the mediator. *)
+  let v, confluent = check_lint_target "mediator game" (1, 6) Fx.mediator_game in
+  Alcotest.(check bool) "mediator game is confluent" true confluent;
+  check_benign_races "mediator game" v
 
 (* ------------------------------------------------------------------ *)
 (* Effect-discipline linter *)
@@ -379,8 +409,14 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 let () =
   Alcotest.run "analysis"
     [
-      ( "dpor-vs-explore",
-        [ Alcotest.test_case "lint targets: dpor verdicts" `Quick test_lint_targets ] );
+      ( "race-vs-explore",
+        [
+          Alcotest.test_case "ping-pong (confluent)" `Quick test_race_ping_pong;
+          Alcotest.test_case "threshold-sum (benign effect race)" `Quick test_race_threshold_sum;
+          Alcotest.test_case "order-bug (seeded outcome race)" `Quick test_race_order_bug;
+          Alcotest.test_case "byzantine-echo (confluent)" `Quick test_race_byzantine_echo;
+          Alcotest.test_case "mediator game" `Quick test_race_mediator_game;
+        ] );
       ( "effects",
         [
           Alcotest.test_case "wrapper violations" `Quick test_effect_wrap_violations;
